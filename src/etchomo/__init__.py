@@ -61,13 +61,10 @@ from .tpfa import (
     scale_field,
 )
 from .transforms import (
-    FctPlan,
-    SlabBuffer,
     dct1d_ref_backward,
     dct1d_ref_forward,
     fct_backward_batch,
     fct_forward_batch,
-    fct_pre_permute,
 )
 
 __version__ = "0.1.0"

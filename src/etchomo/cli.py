@@ -7,9 +7,12 @@ configuration error, 3 I/O or file-format error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
+
+import scipy.fft
 
 from .grid import (
     Axis,
@@ -31,15 +34,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _threads_cap(n: int) -> None:
-    # best effort: caps BLAS pools when threadpoolctl is available
-    if n and n > 0:
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(n)
-        except ImportError:
-            pass
+def _transform_workers(n: int):
+    """Thread count of the cosine transforms for one command; 0 keeps
+    scipy's default of one thread, -1 uses every CPU."""
+    return scipy.fft.set_workers(n) if n else contextlib.nullcontext()
 
 
 def _add_solver_flags(p: argparse.ArgumentParser, multi_rtol: bool = False) -> None:
@@ -166,7 +164,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _threads_cap(args.threads)
     field = read_vox(args.input)
     boundary = BoundaryConfig(Axis(args.axis), args.p_in, args.p_out)
     report = pipeline.homogenize(
@@ -187,7 +184,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    _threads_cap(args.threads)
     plan = ExperimentPlan(
         generator=args.config,
         params={"n_values": args.n or [16, 32, 64], "kappa_inc": args.kappa_inc},
@@ -207,7 +203,6 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _threads_cap(args.threads)
     plan = ExperimentPlan(
         generator=args.config,
         params=_generator_params(args),
@@ -231,7 +226,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_channels(args) -> int:
-    _threads_cap(args.threads)
     rows = pipeline.channels_study(
         args.psi or [1.0, 2.0, 3.0],
         ref_modes=("opt", "one"),
@@ -250,7 +244,6 @@ def cmd_channels(args) -> int:
 
 
 def cmd_precision(args) -> int:
-    _threads_cap(args.threads)
     plan = ExperimentPlan(
         generator=args.config,
         params=_generator_params(args),
@@ -270,7 +263,6 @@ def cmd_precision(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _threads_cap(args.threads)
     print(json.dumps(pipeline.bench(args.n, args.precision), indent=2))
     return 0
 
@@ -305,7 +297,8 @@ def main(argv=None) -> int:
         # argparse already printed a usage diagnostic
         return 0 if exc.code in (0, None) else 2
     try:
-        return _HANDLERS[args.command](args)
+        with _transform_workers(getattr(args, "threads", 0)):
+            return _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"etc: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ Cell data is laid out x-fastest: the flat offset of cell (i, j, k) is
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -90,6 +91,11 @@ class GridSpec:
         return X, Y, Z
 
 
+def _all_positive_finite(a: np.ndarray) -> bool:
+    # min/max need no temporary arrays; a NaN makes both comparisons false
+    return bool(a.min() > 0 and a.max() < np.inf)
+
+
 def linear_index(i: int, j: int, k: int, grid: GridSpec) -> int:
     """Flat offset of cell (i, j, k) in the x-fastest layout."""
     if not (0 <= i < grid.nx and 0 <= j < grid.ny and 0 <= k < grid.nz):
@@ -99,19 +105,32 @@ def linear_index(i: int, j: int, k: int, grid: GridSpec) -> int:
     return (k * grid.ny + j) * grid.nx + i
 
 
+def map_shared(fn, arrays) -> list:
+    """Apply `fn` once per distinct array object, so components that share
+    one array (an isotropic field) still share one array afterwards."""
+    done = {}
+    for a in arrays:
+        if id(a) not in done:
+            done[id(a)] = fn(a)
+    return [done[id(a)] for a in arrays]
+
+
 class OrthotropicField:
     """Per-cell conductivities (kx, ky, kz), strictly positive and finite.
 
     Arrays are flat (length grid.n_cells, x-fastest) and frozen read-only after
-    construction, so a field can be shared across threads.
+    construction, so a field can be shared across threads. Components passed
+    as one array object (`OrthotropicField(grid, k, k, k)`) stay one array.
     """
 
     __slots__ = ("grid", "kx", "ky", "kz")
 
     def __init__(self, grid: GridSpec, kx, ky, kz):
         self.grid = grid
-        arrays = []
-        for name, arr in (("kx", kx), ("ky", ky), ("kz", kz)):
+        named = (("kx", kx), ("ky", ky), ("kz", kz))
+
+        def checked(arr):
+            name = next(n for n, x in named if x is arr)
             a = np.ascontiguousarray(arr).reshape(-1)
             if a.size != grid.n_cells:
                 raise ConfigError(
@@ -119,13 +138,14 @@ class OrthotropicField:
                 )
             if a.dtype not in (np.float64, np.float32):
                 a = a.astype(np.float64)
-            if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
+            if not _all_positive_finite(a):
                 raise ConfigError(f"{name} must be strictly positive and finite")
-            arrays.append(a)
+            a.setflags(write=False)
+            return a
+
+        arrays = map_shared(checked, (kx, ky, kz))
         if len({a.dtype for a in arrays}) != 1:
             raise ConfigError("kx, ky, kz must share one scalar dtype")
-        for a in arrays:
-            a.setflags(write=False)
         self.kx, self.ky, self.kz = arrays
 
     @property
@@ -140,12 +160,8 @@ class OrthotropicField:
         dtype = np.dtype(dtype)
         if dtype == self.dtype:
             return self
-        return OrthotropicField(
-            self.grid,
-            self.kx.astype(dtype),
-            self.ky.astype(dtype),
-            self.kz.astype(dtype),
-        )
+        arrays = map_shared(lambda a: a.astype(dtype), (self.kx, self.ky, self.kz))
+        return OrthotropicField(self.grid, *arrays)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrthotropicField):
@@ -263,6 +279,8 @@ def gen_random_balls(
         raise ConfigError("radii must satisfy 0 < r_min <= r_max < 1/2")
     if kappa_inc <= 0.0:
         raise ConfigError("kappa_inc must be positive")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     rng = np.random.default_rng(np.uint64(seed))
     grid = GridSpec(n, n, n)
     X, Y, Z = grid.cell_centers()
@@ -335,37 +353,48 @@ def write_vox(field: OrthotropicField, destination) -> None:
 
 def read_vox(source) -> OrthotropicField:
     """Parse an ETCVOX container; raises VoxFormatError naming the byte offset
-    of the first defect."""
-    raw = Path(source).read_bytes()
-    if len(raw) < _VOX_HEADER.size:
-        raise VoxFormatError("truncated header", len(raw))
-    magic, nx, ny, nz, lx, ly, lz, code = _VOX_HEADER.unpack_from(raw, 0)
-    if magic != VOX_MAGIC:
-        raise VoxFormatError(f"bad magic {magic!r}", 0)
-    if code not in _DTYPE_BY_CODE:
-        raise VoxFormatError(f"unknown dtype code {code}", _VOX_HEADER.size - 1)
-    try:
-        grid = GridSpec(int(nx), int(ny), int(nz), lx, ly, lz)
-    except ConfigError as exc:
-        raise VoxFormatError(f"bad dimensions: {exc}", 8) from exc
-    scalar = _DTYPE_BY_CODE[code]
-    count = grid.n_cells
-    expected = _VOX_HEADER.size + 3 * count * scalar.itemsize
-    if len(raw) != expected:
-        raise VoxFormatError(
-            f"payload holds {len(raw)} bytes, expected {expected}",
-            min(len(raw), expected),
-        )
-    arrays = []
-    for idx, name in enumerate(("kx", "ky", "kz")):
-        start = _VOX_HEADER.size + idx * count * scalar.itemsize
-        a = np.frombuffer(raw, dtype=scalar, count=count, offset=start)
-        bad = ~(np.isfinite(a) & (a > 0))
-        if np.any(bad):
-            first = int(np.argmax(bad))
+    of the first defect.
+
+    Each array is read straight into its final buffer, so the peak memory is
+    about the payload size. Components equal to kx share its array.
+    """
+    with open(Path(source), "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_VOX_HEADER.size)
+        if len(head) < _VOX_HEADER.size:
+            raise VoxFormatError("truncated header", len(head))
+        magic, nx, ny, nz, lx, ly, lz, code = _VOX_HEADER.unpack(head)
+        if magic != VOX_MAGIC:
+            raise VoxFormatError(f"bad magic {magic!r}", 0)
+        if code not in _DTYPE_BY_CODE:
+            raise VoxFormatError(f"unknown dtype code {code}", _VOX_HEADER.size - 1)
+        try:
+            grid = GridSpec(int(nx), int(ny), int(nz), lx, ly, lz)
+        except ConfigError as exc:
+            raise VoxFormatError(f"bad dimensions: {exc}", 8) from exc
+        scalar = _DTYPE_BY_CODE[code]
+        count = grid.n_cells
+        expected = _VOX_HEADER.size + 3 * count * scalar.itemsize
+        if size != expected:
             raise VoxFormatError(
-                f"non-positive {name} entry at cell {first}",
-                start + first * scalar.itemsize,
+                f"payload holds {size} bytes, expected {expected}",
+                min(size, expected),
             )
-        arrays.append(a.astype(np.float64 if code == 0 else np.float32))
+        arrays = []
+        for idx, name in enumerate(("kx", "ky", "kz")):
+            start = _VOX_HEADER.size + idx * count * scalar.itemsize
+            a = np.empty(count, dtype=scalar)
+            got = fh.readinto(a)
+            if got != a.nbytes:
+                raise VoxFormatError(f"{name} payload ends early", start + got)
+            if not _all_positive_finite(a):
+                first = int(np.argmax(~(np.isfinite(a) & (a > 0))))
+                raise VoxFormatError(
+                    f"non-positive {name} entry at cell {first}",
+                    start + first * scalar.itemsize,
+                )
+            a = a.astype(np.float64 if code == 0 else np.float32, copy=False)
+            if arrays and np.array_equal(a, arrays[0]):
+                a = arrays[0]
+            arrays.append(a)
     return OrthotropicField(grid, *arrays)

@@ -55,6 +55,8 @@ def pcg(
     b = np.asarray(b)
     eps = float(np.finfo(b.dtype).eps)
     norm_b = float(np.linalg.norm(b))
+    if not np.isfinite(norm_b):
+        raise PcgBreakdownError("norm of b overflows the working precision", 0)
     p = np.zeros_like(b)
     if norm_b == 0.0:
         return p, SolveReport(0, True, [0.0])

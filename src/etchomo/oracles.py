@@ -22,7 +22,7 @@ from .preconditioner import (
     solve_reference_lp,
 )
 from .tpfa import apply_operator, assemble_dense, build_rhs, build_system
-from .transforms import FctPlan, SlabBuffer, dct1d_ref_forward, fct_forward_batch, fct_backward_batch
+from .transforms import dct1d_ref_forward, fct_backward_batch, fct_forward_batch
 
 
 def _random_field(rng, nx, ny, nz, contrast=100.0) -> OrthotropicField:
@@ -43,17 +43,15 @@ def check_transforms(max_n: int, rng) -> tuple[bool, str]:
     for nx in sizes:
         for ny in sizes:
             for nz in (1, 3):
-                plan = FctPlan(nx, ny, nz)
-                buf = SlabBuffer(plan, rng.standard_normal((nz, ny, nx)))
-                original = buf.data.copy()
-                fct_forward_batch(buf)
+                original = rng.standard_normal((nz, ny, nx))
+                coeff = fct_forward_batch(original)
                 for k in range(nz):
                     want = _ref2d(original[k])
                     scale = max(float(np.max(np.abs(want))), 1e-30)
-                    worst = max(worst, float(np.max(np.abs(buf.data[k] - want))) / scale)
-                fct_backward_batch(buf)
+                    worst = max(worst, float(np.max(np.abs(coeff[k] - want))) / scale)
+                back = fct_backward_batch(coeff)
                 scale = float(np.max(np.abs(original)))
-                worst = max(worst, float(np.max(np.abs(buf.data - original))) / scale)
+                worst = max(worst, float(np.max(np.abs(back - original))) / scale)
     return worst <= 1e-12, f"worst relative deviation {worst:.3e}"
 
 

@@ -27,6 +27,7 @@ from .grid import (
     gen_channels,
     gen_random_balls,
     gen_smooth_problem,
+    map_shared,
 )
 from .krylov import SolveReport, pcg
 from .preconditioner import (
@@ -96,19 +97,18 @@ def axis_permute(field: OrthotropicField, axis: Axis) -> OrthotropicField:
     if axis is Axis.Z:
         return field
     g = field.grid
-    kx3, ky3, kz3 = field.cube("kx"), field.cube("ky"), field.cube("kz")
     if axis is Axis.X:
-        def swap(a):
-            return np.ascontiguousarray(np.swapaxes(a, 0, 2))
-
-        new_grid = GridSpec(g.nz, g.ny, g.nx, g.lz, g.ly, g.lx)
-        return OrthotropicField(new_grid, swap(kz3), swap(ky3), swap(kx3))
+        swapped, new_grid = (0, 2), GridSpec(g.nz, g.ny, g.nx, g.lz, g.ly, g.lx)
+    else:
+        swapped, new_grid = (0, 1), GridSpec(g.nx, g.nz, g.ny, g.lx, g.lz, g.ly)
 
     def swap(a):
-        return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+        return np.ascontiguousarray(np.swapaxes(a.reshape(g.shape), *swapped))
 
-    new_grid = GridSpec(g.nx, g.nz, g.ny, g.lx, g.lz, g.ly)
-    return OrthotropicField(new_grid, swap(kx3), swap(kz3), swap(ky3))
+    kx, ky, kz = map_shared(swap, (field.kx, field.ky, field.kz))
+    if axis is Axis.X:
+        return OrthotropicField(new_grid, kz, ky, kx)
+    return OrthotropicField(new_grid, kx, kz, ky)
 
 
 def _parse_precond(tag: str, default_omega: float) -> tuple[str, float]:

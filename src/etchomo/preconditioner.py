@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import BoundaryConfig, ConfigError, GridSpec, Axis
 from .tpfa import DiscreteSystem, operator_diagonal, assemble_sparse
-from .transforms import FctPlan, SlabBuffer, fct_backward_batch, fct_forward_batch
+from .transforms import fct_backward_batch, fct_forward_batch
 
 
 @dataclass(frozen=True)
@@ -250,36 +250,24 @@ def thomas_solve_batch(
     return x.reshape(rhs.shape)
 
 
-def fct_precond_apply(
-    factors: TridiagFactors,
-    r: np.ndarray,
-    plan: FctPlan | None = None,
-    buf: SlabBuffer | None = None,
-) -> np.ndarray:
+def fct_precond_apply(factors: TridiagFactors, r: np.ndarray) -> np.ndarray:
     """Apply the inverse reference operator: forward cosine transform of each
-    k-slice, one tridiagonal solve per transformed column, backward transform."""
-    g = factors.grid
-    if buf is None:
-        if plan is None:
-            plan = FctPlan(g.nx, g.ny, g.nz, dtype=factors.dtype)
-        buf = SlabBuffer(plan)
-    buf.data[...] = np.asarray(r).reshape(g.shape)
-    fct_forward_batch(buf)
-    thomas_solve_batch(factors, buf.data, overwrite=True)
-    fct_backward_batch(buf)
-    return buf.data.reshape(-1).copy()
+    k-slice, one tridiagonal solve per transformed column, backward transform.
+    `r` is left untouched."""
+    r = np.asarray(r, dtype=factors.dtype).reshape(factors.grid.shape)
+    coeff = fct_forward_batch(r)
+    thomas_solve_batch(factors, coeff, overwrite=True)
+    return fct_backward_batch(coeff).reshape(-1)
 
 
 class FctPreconditioner:
-    """Plan + factors + workspace bundle with a callable apply."""
+    """Tridiagonal factors with a callable apply."""
 
     def __init__(self, grid: GridSpec, refs: ReferenceParams, dtype=np.float64):
         self.factors = build_tridiag(grid, refs, dtype)
-        self.plan = FctPlan(grid.nx, grid.ny, grid.nz, dtype=dtype)
-        self.buf = SlabBuffer(self.plan)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return fct_precond_apply(self.factors, r, plan=self.plan, buf=self.buf)
+        return fct_precond_apply(self.factors, r)
 
 
 class SsorPreconditioner:

@@ -26,8 +26,17 @@ def scale_field(field: OrthotropicField):
     return sx, sy, sz
 
 
-def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return 2.0 * a * b / (a + b)
+def _harmonic(inv_a: np.ndarray, inv_b: np.ndarray, h: float) -> np.ndarray:
+    """Scaled harmonic means 2/(1/a + 1/b) / h^2 from the reciprocals of a
+    and b, in one new array.
+
+    The reciprocal form cannot overflow where 2*a*b would, and it is bitwise
+    symmetric in (a, b).
+    """
+    t = np.add(inv_a, inv_b)
+    np.divide(2.0, t, out=t)
+    t /= t.dtype.type(h) ** 2
+    return t
 
 
 class DiscreteSystem:
@@ -98,13 +107,27 @@ def build_system(field: OrthotropicField, boundary: BoundaryConfig) -> DiscreteS
         raise ConfigError(
             "build_system expects axis z; permute the field first (pipeline.axis_permute)"
         )
-    sx, sy, sz = scale_field(field)
-    tx = _harmonic(sx[:, :, :-1], sx[:, :, 1:])
-    ty = _harmonic(sy[:, :-1, :], sy[:, 1:, :])
-    tz = _harmonic(sz[:-1, :, :], sz[1:, :, :])
-    t_in = 2.0 * sz[0]
-    t_out = 2.0 * sz[-1]
-    return DiscreteSystem(field.grid, tx, ty, tz, t_in, t_out, boundary)
+    g = field.grid
+    faces = []
+    inv, inv_of = None, None
+    for name, h, lo, hi in (
+        ("kx", g.hx, np.s_[:, :, :-1], np.s_[:, :, 1:]),
+        ("ky", g.hy, np.s_[:, :-1, :], np.s_[:, 1:, :]),
+        ("kz", g.hz, np.s_[:-1, :, :], np.s_[1:, :, :]),
+    ):
+        # one reciprocal cube alive at a time (the old one is dropped before
+        # the next is made), reused while the components share an array
+        k = getattr(field, name)
+        if k is not inv_of:
+            inv = None
+            inv, inv_of = np.reciprocal(k.reshape(g.shape)), k
+        faces.append(_harmonic(inv[lo], inv[hi], h))
+    del inv
+    kz = field.cube("kz")
+    hz2 = field.dtype.type(g.hz) ** 2
+    t_in = 2.0 * (kz[0] / hz2)
+    t_out = 2.0 * (kz[-1] / hz2)
+    return DiscreteSystem(g, *faces, t_in, t_out, boundary)
 
 
 def apply_operator(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
@@ -116,15 +139,17 @@ def apply_operator(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
     v = u.reshape(g.shape)
     out = np.zeros_like(v)
 
-    flux = sys.faces_x() * (v[:, :, 1:] - v[:, :, :-1])
-    out[:, :, 1:] += flux
-    out[:, :, :-1] -= flux
-    flux = sys.faces_y() * (v[:, 1:, :] - v[:, :-1, :])
-    out[:, 1:, :] += flux
-    out[:, :-1, :] -= flux
-    flux = sys.faces_z() * (v[1:, :, :] - v[:-1, :, :])
-    out[1:, :, :] += flux
-    out[:-1, :, :] -= flux
+    for faces, hi, lo in (
+        (sys.faces_x(), np.s_[:, :, 1:], np.s_[:, :, :-1]),
+        (sys.faces_y(), np.s_[:, 1:, :], np.s_[:, :-1, :]),
+        (sys.faces_z(), np.s_[1:, :, :], np.s_[:-1, :, :]),
+    ):
+        # one flux temporary, freed before the next axis allocates its own
+        flux = np.subtract(v[hi], v[lo])
+        flux *= faces
+        out[hi] += flux
+        out[lo] -= flux
+        del flux
 
     out[0] += sys.layer_in() * v[0]
     out[-1] += sys.layer_out() * v[-1]

@@ -1,10 +1,9 @@
 """Cosine transforms over the (x, y) planes of a slab.
 
 Two implementations live here: an O(N^2) direct-summation 1D reference pair
-(the test oracle), and the production batched 2D path that routes each k-slice
-through a real-to-complex FFT bracketed by an even/odd pre-permutation and a
-twiddle recombination. Only half of the spectrum is ever stored; the missing
-entries are read through conjugate symmetry.
+(the test oracle), and the production batched 2D pair, which applies scipy's
+type-2 DCT (pocketfft, an FFT-based fast cosine transform after Makhoul,
+IEEE Trans. ASSP 28(1), 1980) to every k-slice of a (nz, ny, nx) slab.
 
 Conventions, fixed once for every consumer in the package:
 
@@ -12,11 +11,16 @@ Conventions, fixed once for every consumer in the package:
     backward:  u[i] = (2/N) * sum_q u_hat[q] * a[q] * cos(pi*(2i+1)*q / (2N))
 
 with a[0] = 1/2 and a[q] = 1 otherwise, so backward(forward(u)) == u.
+scipy's unnormalized DCT-II carries a factor 2 per axis, hence the 1/4 and 4
+below; both are powers of two and cost no rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
+
+_PLANE = (1, 2)
 
 
 def dct1d_ref_forward(u: np.ndarray) -> np.ndarray:
@@ -38,140 +42,23 @@ def dct1d_ref_backward(uh: np.ndarray) -> np.ndarray:
     return (2.0 / n) * (table @ (weights * uh))
 
 
-def _halving_order(n: int) -> np.ndarray:
-    """Even indices ascending, then odd indices descending."""
-    return np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
+def fct_forward_batch(data: np.ndarray) -> np.ndarray:
+    """Forward-transform every k-slice of a (nz, ny, nx) slab.
 
-
-def fct_pre_permute(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Four-quadrant even/odd reshuffle of one (ny, nx) slice."""
-    ny, nx = v.shape
-    gathered = v[np.ix_(_halving_order(ny), _halving_order(nx))]
-    if out is None:
-        return gathered
-    out[...] = gathered
+    Returns a new array of the same float dtype holding the cosine
+    coefficients [k, q_y, q_x]; `data` is left untouched.
+    """
+    out = scipy.fft.dctn(data, type=2, axes=_PLANE)
+    out *= 0.25
     return out
 
 
-class FctPlan:
-    """Precomputed index and twiddle tables for one slab shape.
+def fct_backward_batch(coeff: np.ndarray) -> np.ndarray:
+    """Backward-transform every k-slice of a (nz, ny, nx) coefficient slab.
 
-    Plans are immutable and shareable; each execute call works on the buffer
-    passed to it, so concurrent use on distinct buffers is safe.
+    Inverse of fct_forward_batch including all normalization weights; returns
+    a new array and leaves `coeff` untouched.
     """
-
-    def __init__(self, nx: int, ny: int, nz: int, dtype=np.float64):
-        self.nx, self.ny, self.nz = nx, ny, nz
-        self.dtype = np.dtype(dtype)
-        cdtype = np.complex64 if self.dtype == np.float32 else np.complex128
-        self.half = ny // 2 + 1
-        self.order_x = _halving_order(nx)
-        self.order_y = _halving_order(ny)
-        self.wrap_x = (nx - np.arange(nx)) % nx
-        self.wrap_y = (ny - np.arange(ny)) % ny
-        # forward twiddles exp(-i*pi*q/(2N)); backward uses the conjugates
-        self.ex = np.exp(-1j * np.pi * np.arange(nx) / (2 * nx)).astype(cdtype)
-        self.ey = np.exp(-1j * np.pi * np.arange(ny) / (2 * ny)).astype(cdtype)
-        self.rows_low = np.arange(1, self.half)
-        self.rows_high = np.arange(self.half, ny)
-
-    def spectrum_shape(self) -> tuple[int, int, int]:
-        return (self.nz, self.half, self.nx)
-
-    # ---- forward: permute -> rfft2 -> twiddle recombination ----------------
-
-    def forward(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ny = self.ny
-        w = data[:, self.order_y[:, None], self.order_x[None, :]]
-        spectrum = np.fft.rfft2(w, axes=(2, 1))  # (nz, ny//2+1, nx), y halved
-        mirrored = spectrum[:, :, self.wrap_x]
-        out = np.empty_like(data)
-        ex, ey = self.ex, self.ey
-        out[:, 0, :] = (ex * spectrum[:, 0, :]).real
-        jl = self.rows_low
-        if jl.size:
-            combo = ey[jl][:, None] * spectrum[:, jl, :] + np.conj(ey[jl])[:, None] * np.conj(
-                mirrored[:, jl, :]
-            )
-            out[:, jl, :] = 0.5 * (ex * combo).real
-        jh = self.rows_high
-        if jh.size:
-            m = ny - jh
-            combo = ey[jh][:, None] * np.conj(mirrored[:, m, :]) + np.conj(ey[jh])[
-                :, None
-            ] * spectrum[:, m, :]
-            out[:, jh, :] = 0.5 * (ex * combo).real
-        return out, spectrum
-
-    # ---- backward: twiddle split -> irfft2 -> inverse permute --------------
-
-    def backward(self, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ny, nx = self.ny, self.nx
-        h = self.half
-        exb = np.conj(self.ex)  # exp(+i*pi*q/(2N))
-        eyb = np.conj(self.ey)
-        flip_x = coeff[:, :, self.wrap_x]
-        flip_y = coeff[:, self.wrap_y, :]
-        flip_xy = flip_y[:, :, self.wrap_x]
-        spectrum = (exb[None, None, :] * eyb[:h][None, :, None]) * (
-            coeff[:, :h, :]
-            - flip_xy[:, :h, :]
-            - 1j * (flip_x[:, :h, :] + flip_y[:, :h, :])
-        )
-        if h > 1:
-            spectrum[:, 1:, 0] = eyb[1:h] * (
-                coeff[:, 1:h, 0] - 1j * coeff[:, self.wrap_y[1:h], 0]
-            )
-        if nx > 1:
-            spectrum[:, 0, 1:] = exb[1:] * (
-                coeff[:, 0, 1:] - 1j * coeff[:, 0, self.wrap_x[1:]]
-            )
-        spectrum[:, 0, 0] = coeff[:, 0, 0]
-        w = np.fft.irfft2(spectrum, s=(nx, ny), axes=(2, 1))
-        out = np.empty_like(coeff)
-        out[:, self.order_y[:, None], self.order_x[None, :]] = w
-        return out, spectrum
-
-
-class SlabBuffer:
-    """A (nz, ny, nx) real slab bound to a plan, with its half-spectrum
-    workspace. Not safe for concurrent mutation by two executors."""
-
-    __slots__ = ("plan", "data", "spectrum")
-
-    def __init__(self, plan: FctPlan, data: np.ndarray | None = None):
-        self.plan = plan
-        shape = (plan.nz, plan.ny, plan.nx)
-        if data is None:
-            data = np.zeros(shape, dtype=plan.dtype)
-        else:
-            data = np.ascontiguousarray(data, dtype=plan.dtype).reshape(shape)
-        self.data = data
-        cdtype = np.complex64 if plan.dtype == np.float32 else np.complex128
-        self.spectrum = np.zeros(plan.spectrum_shape(), dtype=cdtype)
-
-    @property
-    def nx(self) -> int:
-        return self.plan.nx
-
-    @property
-    def ny(self) -> int:
-        return self.plan.ny
-
-    @property
-    def nz(self) -> int:
-        return self.plan.nz
-
-
-def fct_forward_batch(buf: SlabBuffer) -> SlabBuffer:
-    """Forward-transform every k-slice of the buffer; data ends up in spectral
-    (cosine-coefficient) ordering, the half-spectrum stage in buf.spectrum."""
-    buf.data, buf.spectrum = buf.plan.forward(buf.data)
-    return buf
-
-
-def fct_backward_batch(buf: SlabBuffer) -> SlabBuffer:
-    """Backward-transform every k-slice; data returns to physical ordering.
-    Inverse of fct_forward_batch including all normalization weights."""
-    buf.data, buf.spectrum = buf.plan.backward(buf.data)
-    return buf
+    out = scipy.fft.idctn(coeff, type=2, axes=_PLANE)
+    out *= 4.0
+    return out

@@ -120,6 +120,26 @@ def test_generate_channels_misaligned_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_generate_negative_seed_exit_2(tmp_path, capsys):
+    code = main([
+        "generate", "--config", "random-balls", "--n", "8", "--seed", "-1",
+        "-o", str(tmp_path / "neg.vox"),
+    ])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_solve_threads_do_not_change_the_result(tmp_path, capsys):
+    vox = tmp_path / "ball.vox"
+    write_vox(gen_center_ball(12, 10.0), vox)
+    printed = []
+    for threads in ("1", "2"):
+        assert main(["solve", str(vox), "--rtol", "1e-8", "--threads", threads]) == 0
+        printed.append(json.loads(capsys.readouterr().out))
+    assert printed[0]["iterations"] == printed[1]["iterations"]
+    assert printed[0]["kappa_eff"] == printed[1]["kappa_eff"]
+
+
 def test_generate_f32(tmp_path):
     from etchomo import read_vox
 

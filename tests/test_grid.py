@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,10 @@ class TestRandomBalls:
         f = gen_random_balls(8, 3, 0.1, 0.2, 1.0, seed=5)
         assert np.all(f.kx == 1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            gen_random_balls(6, 4, 0.1, 0.3, 7.5, seed=-1)
+
     def test_count_zero_rejected(self):
         with pytest.raises(ConfigError):
             gen_random_balls(8, 0, 0.1, 0.2, 10.0, seed=1)
@@ -261,3 +267,43 @@ class TestVoxFormat:
         with pytest.raises(VoxFormatError) as err:
             read_vox(path)
         assert err.value.offset == offset
+
+    def test_read_peak_memory_near_payload(self, tmp_path):
+        rng = np.random.default_rng(8)
+        grid = GridSpec(40, 30, 20)
+        k = rng.uniform(0.5, 2.0, (3, grid.n_cells)).astype(np.float32)
+        path = tmp_path / "aniso.vox"
+        write_vox(OrthotropicField(grid, *k), path)
+        payload = k.nbytes
+        tracemalloc.start()
+        try:
+            back = read_vox(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.kx is not back.ky and back.ky is not back.kz
+        assert peak <= 1.25 * payload
+
+
+class TestSharedComponents:
+    """An isotropic field keeps one coefficient array through the pipeline;
+    an anisotropic one keeps three."""
+
+    def _stages(self, field, tmp_path):
+        from etchomo import Axis, axis_permute
+
+        path = tmp_path / "field.vox"
+        write_vox(field, path)
+        back = read_vox(path)
+        yield back
+        yield back.astype(np.float32)
+        yield axis_permute(back, Axis.X)
+        yield axis_permute(back.astype(np.float32), Axis.Y)
+
+    def test_isotropic_shares_one_array(self, tmp_path):
+        for f in self._stages(gen_random_balls(6, 4, 0.1, 0.3, 7.5, seed=3), tmp_path):
+            assert f.kx is f.ky is f.kz
+
+    def test_anisotropic_keeps_distinct_arrays(self, tmp_path):
+        for f in self._stages(gen_channels(8, 1, 1.0), tmp_path):
+            assert f.kx is not f.ky and f.ky is not f.kz and f.kx is not f.kz

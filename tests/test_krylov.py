@@ -85,6 +85,11 @@ class TestPcg:
         with pytest.raises(PcgBreakdownError):
             pcg(lambda u: u, lambda r: minv @ r, np.array([0.1, 1.0]), 1e-12)
 
+    def test_breakdown_when_norm_of_b_overflows(self):
+        b = np.full(4, 1e30, dtype=np.float32)
+        with np.errstate(over="ignore"), pytest.raises(PcgBreakdownError):
+            pcg(lambda u: u, identity_apply, b, 1e-6)
+
     def test_float32_path(self, boundary_z):
         from etchomo import gen_center_ball
 

@@ -242,6 +242,17 @@ class TestFctPreconditioner:
         want = np.linalg.solve(fac.dense_block(0, 0), r)
         assert np.allclose(got, want, rtol=1e-13)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_leaves_residual_unmodified(self, dtype):
+        rng = np.random.default_rng(22)
+        grid = GridSpec(6, 5, 4)
+        apply_m = FctPreconditioner(grid, ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), dtype)
+        r = rng.standard_normal(grid.n_cells).astype(dtype)
+        kept = r.copy()
+        z = apply_m(r)
+        assert np.array_equal(r, kept)
+        assert z.dtype == dtype and z.shape == r.shape
+
     def test_apply_back_identity(self):
         rng = np.random.default_rng(20)
         grid = GridSpec(9, 7, 5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,14 @@ class TestBuildSystem:
         assert np.all(sys.tx >= np.minimum(left, right) - 1e-14)
         assert np.all(sys.tx <= np.maximum(left, right) + 1e-14)
         assert np.all(sys.tx <= 2 * np.minimum(left, right) + 1e-14)
+
+    def test_large_f32_coefficients_do_not_overflow(self, boundary_z):
+        f = constant_field(3, 3, 3, kx=1e20, ky=1e20, kz=1e20).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sys = build_system(f, boundary_z)
+        assert np.all(np.isfinite(sys.tx)) and sys.tx.dtype == np.float32
+        assert sys.tx[0] == pytest.approx(9e20, rel=1e-6)
 
     def test_requires_canonical_axis(self):
         from etchomo import ConfigError
