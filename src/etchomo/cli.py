@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import scipy.fft
-
 from .grid import (
     Axis,
     BoundaryConfig,
@@ -37,7 +35,11 @@ def _positive_int(text: str) -> int:
 def _transform_workers(n: int):
     """Thread count of the cosine transforms for one command; 0 keeps
     scipy's default of one thread, -1 uses every CPU."""
-    return scipy.fft.set_workers(n) if n else contextlib.nullcontext()
+    if not n:
+        return contextlib.nullcontext()
+    import scipy.fft
+
+    return scipy.fft.set_workers(n)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser, multi_rtol: bool = False) -> None:
@@ -302,7 +304,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"etc: configuration error: {exc}", file=sys.stderr)
         return 2
-    except PcgBreakdownError as exc:
+    except (PcgBreakdownError, FloatingPointError) as exc:
         print(f"etc: solver breakdown: {exc}", file=sys.stderr)
         return 1
     except VoxFormatError as exc:

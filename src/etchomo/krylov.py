@@ -47,6 +47,12 @@ def pcg(
     max_iter. The history records the relative residual at every step starting
     from the initial one, so iterations == len(history) - 1. Starts from the
     zero vector.
+
+    The vector updates run in place, so an iteration allocates no grid array
+    beyond the results of apply_A and apply_M_inv. pcg scales the array that
+    apply_A returns (after copying it if it shares memory with a work vector)
+    and only reads the one apply_M_inv returns, so either may hand back its
+    argument or an internal buffer that it reuses on the next call.
     """
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
@@ -62,21 +68,25 @@ def pcg(
         return p, SolveReport(0, True, [0.0])
 
     r = b.copy()
-    z = apply_M_inv(r)
-    w = z.copy()
-    rho = float(np.dot(r, z))
+    w = apply_M_inv(r).copy()
+    rho = float(np.dot(r, w))
     if rho <= 0.0:
         raise PcgBreakdownError("preconditioned inner product not positive", 0)
     history = [float(np.linalg.norm(r)) / norm_b]
     iteration = 0
     while history[-1] > rtol and iteration < max_iter:
         z = apply_A(w)
+        if any(np.may_share_memory(z, v) for v in (w, r, p)):
+            z = z.copy()
         zw = float(np.dot(z, w))
         if zw <= 100.0 * eps * float(np.linalg.norm(z)) * float(np.linalg.norm(w)):
             raise PcgBreakdownError("operator inner product lost positivity", iteration + 1)
-        alpha = rho / zw
-        p += b.dtype.type(alpha) * w
-        r -= b.dtype.type(alpha) * z
+        alpha = b.dtype.type(rho / zw)
+        z *= alpha
+        r -= z
+        np.multiply(w, alpha, out=z)
+        p += z
+        del z
         relres = float(np.linalg.norm(r)) / norm_b
         if not np.isfinite(relres):
             raise PcgBreakdownError("residual is not finite", iteration + 1)
@@ -88,7 +98,9 @@ def pcg(
         rho_next = float(np.dot(r, z))
         if rho_next <= 0.0:
             raise PcgBreakdownError("preconditioned inner product not positive", iteration)
-        w = z + b.dtype.type(rho_next / rho) * w
+        w *= b.dtype.type(rho_next / rho)
+        w += z
+        del z
         rho = rho_next
     return p, SolveReport(iteration, history[-1] <= rtol, history)
 

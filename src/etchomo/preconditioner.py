@@ -3,8 +3,10 @@
 The reference operator replaces the heterogeneous transmissibilities with
 five homogeneous constants (one per interior axis plus the two Dirichlet
 layers). Under the plane-wise cosine transform it block-diagonalizes into
-independent tridiagonal systems along z, one per transformed (x, y) mode,
-each solved by non-pivoting elimination; diagonal dominance makes that safe.
+independent tridiagonal systems along z, one per transformed (x, y) mode.
+Each block is factored once, by non-pivoting symmetric elimination
+T = U^T D U (diagonal dominance makes that safe), and every apply reuses the
+factors: a unit-lower sweep, a pivot scaling and a unit-upper sweep.
 
 Reference constants come either from a closed-form solution of the
 log-domain min-max program over the coefficient statistics ("opt") or are
@@ -167,13 +169,13 @@ def reference_system(
 class TridiagFactors:
     """Shared data for the per-mode tridiagonal solves.
 
-    Stores the two eigen-weight tables 2*(1-cos(q*pi/N)) and the z-chain
-    diagonal (O(nx+ny+nz) persistent data); the elimination coefficients are
-    produced on the fly during each batched solve.
+    Stores the two eigen-weight tables 2*(1-cos(q*pi/N)), the z-chain
+    diagonal and the off-diagonal (O(nx+ny+nz) data), plus the elimination
+    factors of every block, computed on first use by `elimination`.
     """
 
     __slots__ = ("grid", "refs", "dtype", "weights_x", "weights_y",
-                 "plane_shift", "z_diag", "off")
+                 "plane_shift", "z_diag", "off", "_upper", "_last_pivot")
 
     def __init__(self, grid: GridSpec, refs: ReferenceParams, dtype=np.float64):
         self.grid = grid
@@ -197,6 +199,35 @@ class TridiagFactors:
         zd[-1] += 2.0 * refs.kout_ref
         self.z_diag = zd.astype(self.dtype)
         self.off = self.dtype.type(-refs.kz_ref)
+        self._upper = None
+        self._last_pivot = None
+
+    def elimination(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factors T = U^T D U of every block, computed once and cached.
+
+        Returns `upper`, shape (nz-1, ny, nx), the superdiagonal of the unit
+        upper factor U (off / pivot of layers 0..nz-2), and the last pivot
+        plane, shape (ny, nx). The other pivots are off / upper. Raises
+        FloatingPointError if a pivot is not positive (NaN included) or a
+        multiplier is too small for the pivots to be recovered from it.
+        """
+        if self._upper is None:
+            shift, off = self.plane_shift, self.off
+            nz = self.grid.nz
+            upper = np.empty((nz - 1,) + shift.shape, dtype=self.dtype)
+            pivot = self.z_diag[0] + shift
+            for k in range(nz - 1):
+                _check_pivot(pivot, k)
+                np.divide(off, pivot, out=upper[k])
+                pivot = (self.z_diag[k + 1] + shift) - off * upper[k]
+            _check_pivot(pivot, nz - 1)
+            # off < 0 < pivot, so every multiplier is negative
+            if upper.size and not upper.max() <= -np.finfo(self.dtype).tiny:
+                raise FloatingPointError(
+                    "tridiagonal multiplier underflows the working precision"
+                )
+            self._upper, self._last_pivot = upper, pivot
+        return self._upper, self._last_pivot
 
     def dense_block(self, i: int, j: int) -> np.ndarray:
         """Explicit (nz, nz) matrix of one transformed mode; test helper."""
@@ -208,6 +239,11 @@ class TridiagFactors:
         return t
 
 
+def _check_pivot(pivot: np.ndarray, k: int) -> None:
+    if not np.all(pivot > 0):
+        raise FloatingPointError(f"non-positive pivot in tridiagonal solve at layer {k}")
+
+
 def build_tridiag(grid: GridSpec, refs: ReferenceParams, dtype=np.float64) -> TridiagFactors:
     return TridiagFactors(grid, refs, dtype)
 
@@ -217,47 +253,37 @@ def thomas_solve_batch(
 ) -> np.ndarray:
     """Solve every (i', j') z-column against its tridiagonal block.
 
-    Vectorized non-pivoting elimination over the whole (ny, nx) plane at once;
-    every pivot is checked positive, which diagonal dominance guarantees.
+    Uses the cached factors T = U^T D U over the whole (ny, nx) plane at once:
+    a unit-lower sweep, one scaling by the inverse pivots and a unit-upper
+    sweep. The first call on `factors` also factors the blocks.
     """
-    g = factors.grid
-    nz = g.nz
-    x = rhs.reshape(g.shape)
+    upper, last_pivot = factors.elimination()
+    x = rhs.reshape(factors.grid.shape)
     if not overwrite:
         x = x.copy()
-    shift = factors.plane_shift
-    off = factors.off
-    diag0 = factors.z_diag[0] + shift
-    if np.any(diag0 <= 0):
-        raise FloatingPointError("non-positive pivot in tridiagonal solve")
-    if nz == 1:
-        x[0] /= diag0
-        return x.reshape(rhs.shape)
-    upper = np.empty((nz - 1,) + shift.shape, dtype=x.dtype)
-    upper[0] = off / diag0
-    x[0] = x[0] / diag0
+    nz = x.shape[0]
+    scratch = np.empty(x.shape[1:], dtype=x.dtype)
     for k in range(1, nz):
-        denom = (factors.z_diag[k] + shift) - off * upper[k - 1]
-        if np.any(denom <= 0):
-            raise FloatingPointError(
-                f"non-positive pivot in tridiagonal solve at layer {k}"
-            )
-        if k < nz - 1:
-            upper[k] = off / denom
-        x[k] = (x[k] - off * x[k - 1]) / denom
+        np.multiply(upper[k - 1], x[k - 1], out=scratch)
+        x[k] -= scratch
+    # 1/pivot_k = upper_k / off for every layer but the last
+    x[:-1] *= upper
+    x[:-1] /= factors.off
+    x[-1] /= last_pivot
     for k in range(nz - 2, -1, -1):
-        x[k] -= upper[k] * x[k + 1]
+        np.multiply(upper[k], x[k + 1], out=scratch)
+        x[k] -= scratch
     return x.reshape(rhs.shape)
 
 
 def fct_precond_apply(factors: TridiagFactors, r: np.ndarray) -> np.ndarray:
     """Apply the inverse reference operator: forward cosine transform of each
     k-slice, one tridiagonal solve per transformed column, backward transform.
-    `r` is left untouched."""
+    `r` is left untouched; the result is the one new grid array."""
     r = np.asarray(r, dtype=factors.dtype).reshape(factors.grid.shape)
     coeff = fct_forward_batch(r)
     thomas_solve_batch(factors, coeff, overwrite=True)
-    return fct_backward_batch(coeff).reshape(-1)
+    return fct_backward_batch(coeff, overwrite=True).reshape(-1)
 
 
 class FctPreconditioner:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import etchomo.preconditioner
 from etchomo import gen_center_ball, write_vox
 from etchomo.cli import build_parser, main
 
@@ -98,6 +103,32 @@ def test_nonconvergence_exit_1(tmp_path):
     ])
     assert code == 1
     assert json.loads(report.read_text())["converged"] is False
+
+
+def test_pivot_failure_exit_1(tmp_path, capsys, monkeypatch):
+    init = etchomo.preconditioner.TridiagFactors.__init__
+
+    def nan_pivot_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.z_diag[-1] = np.nan
+
+    monkeypatch.setattr(etchomo.preconditioner.TridiagFactors, "__init__", nan_pivot_init)
+    vox = tmp_path / "ball.vox"
+    write_vox(gen_center_ball(6, 10.0), vox)
+    assert main(["solve", str(vox), "--rtol", "1e-6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("etc: solver breakdown: non-positive pivot")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_import_does_not_load_scipy_fft():
+    code = "import sys, etchomo, etchomo.cli; print('scipy.fft' in sys.modules)"
+    src = str(Path(etchomo.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_generate_then_solve_round_trip(tmp_path):

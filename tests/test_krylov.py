@@ -19,6 +19,37 @@ from etchomo import (
 from conftest import constant_field, random_field
 
 
+def pcg_out_of_place(apply_A, apply_M_inv, b, rtol, max_iter=1024):
+    """Reference CG with the textbook out-of-place vector updates: returns the
+    iterate and the relative residual history."""
+    t = b.dtype.type
+    norm_b = float(np.linalg.norm(b))
+    p = np.zeros_like(b)
+    r = b.copy()
+    z = apply_M_inv(r)
+    w = z.copy()
+    rho = float(np.dot(r, z))
+    history = [float(np.linalg.norm(r)) / norm_b]
+    while history[-1] > rtol and len(history) <= max_iter:
+        z = apply_A(w)
+        alpha = rho / float(np.dot(z, w))
+        p += t(alpha) * w
+        r -= t(alpha) * z
+        history.append(float(np.linalg.norm(r)) / norm_b)
+        if history[-1] <= rtol:
+            break
+        z = apply_M_inv(r)
+        rho_next = float(np.dot(r, z))
+        w = z + t(rho_next / rho) * w
+        rho = rho_next
+    return p, history
+
+
+def spd_matrix(rng, n):
+    q = rng.standard_normal((n, n))
+    return q @ q.T + n * np.eye(n)
+
+
 class TestPcg:
     def test_single_cell_one_iteration(self, boundary_z):
         sys = build_system(constant_field(1, 1, 1), boundary_z)
@@ -72,6 +103,28 @@ class TestPcg:
             _, rep = pcg(lambda u: apply_operator(sys, u), apply_m, b, 1e-10)
             hist.append(rep.relative_residuals)
         assert hist[0] == hist[1]
+
+    def test_aliasing_callables_match_out_of_place_updates(self):
+        rng = np.random.default_rng(3)
+        mat = spd_matrix(rng, 12)
+        inv_diag = 1.0 / np.diag(mat)
+        buffer = np.empty(12)
+
+        def jacobi_into_buffer(r):
+            return np.multiply(r, inv_diag, out=buffer)
+
+        b = rng.standard_normal(12)
+        cases = [
+            (lambda u: u, lambda r: r),
+            (lambda u: mat @ u, lambda r: r),
+            (lambda u: mat @ u, jacobi_into_buffer),
+        ]
+        for apply_a, apply_m in cases:
+            want_p, want_hist = pcg_out_of_place(apply_a, apply_m, b, 1e-12)
+            p, rep = pcg(apply_a, apply_m, b, 1e-12)
+            assert rep.relative_residuals == want_hist
+            assert np.array_equal(p, want_p)
+            assert rep.converged and rep.iterations == len(want_hist) - 1
 
     def test_breakdown_on_indefinite_operator(self):
         mat = np.diag([1.0, -1.0])

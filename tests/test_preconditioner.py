@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,42 @@ class TestTridiag:
                 want = np.linalg.solve(fac.dense_block(i, j), rhs[:, j, i])
                 assert np.allclose(got[:, j, i], want, rtol=1e-12, atol=1e-13)
 
+    def test_factors_once_and_reuses_them(self):
+        rng = np.random.default_rng(26)
+        fac = build_tridiag(GridSpec(4, 3, 6), ReferenceParams(0.3, 2.0, 1.5, 0.8, 1.1))
+        solves = []
+        for _ in range(2):
+            rhs = rng.standard_normal((6, 3, 4))
+            got = thomas_solve_batch(fac, rhs)
+            for j in range(3):
+                for i in range(4):
+                    want = np.linalg.solve(fac.dense_block(i, j), rhs[:, j, i])
+                    assert np.allclose(got[:, j, i], want, rtol=1e-12, atol=1e-13)
+            solves.append(fac.elimination())
+        (upper_a, pivot_a), (upper_b, pivot_b) = solves
+        assert upper_a is upper_b and pivot_a is pivot_b
+        assert upper_a.shape == (5, 3, 4) and pivot_a.shape == (3, 4)
+
+    def test_f32_factors_stay_f32(self):
+        fac = build_tridiag(GridSpec(5, 4, 7), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), np.float32)
+        rhs = np.ones((7, 4, 5), dtype=np.float32)
+        assert thomas_solve_batch(fac, rhs).dtype == np.float32
+        upper, last_pivot = fac.elimination()
+        assert upper.dtype == last_pivot.dtype == np.float32
+
+    def test_nan_pivot_raises(self):
+        fac = build_tridiag(GridSpec(3, 2, 4), ReferenceParams(1, 1, 1, 1, 1))
+        fac.z_diag[2] = np.nan
+        with pytest.raises(FloatingPointError, match="layer 2"):
+            thomas_solve_batch(fac, np.ones((4, 2, 3)))
+
+    def test_underflowing_multiplier_raises(self):
+        # kz_ref / kx_ref = 1e-40: off / pivot is below the smallest normal
+        # float32, so the pivots could not be recovered from the multipliers
+        fac = build_tridiag(GridSpec(4, 4, 3), ReferenceParams(1e10, 1e10, 1e-30, 1, 1), np.float32)
+        with pytest.raises(FloatingPointError, match="underflow"):
+            thomas_solve_batch(fac, np.ones((3, 4, 4), dtype=np.float32))
+
 
 class TestFctPreconditioner:
     def test_degenerate_single_column(self):
@@ -252,6 +289,22 @@ class TestFctPreconditioner:
         z = apply_m(r)
         assert np.array_equal(r, kept)
         assert z.dtype == dtype and z.shape == r.shape
+
+    def test_apply_allocates_one_grid_array(self):
+        rng = np.random.default_rng(27)
+        grid = GridSpec(32, 32, 32)
+        apply_m = FctPreconditioner(grid, ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9))
+        r = rng.standard_normal(grid.n_cells)
+        apply_m(r)  # the first apply factors the blocks
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            z = apply_m(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.nbytes == r.nbytes
+        assert (peak - before) / r.nbytes <= 1.1
 
     def test_apply_back_identity(self):
         rng = np.random.default_rng(20)

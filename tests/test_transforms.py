@@ -81,6 +81,17 @@ class TestBackwardBatch:
         assert coeff.dtype == back.dtype == np.float32
         assert np.max(np.abs(back - v)) <= 1e-5 * np.max(np.abs(v))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_overwrite_matches_copy_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(9)
+        coeff = rng.standard_normal((5, 7, 6)).astype(dtype)
+        kept = coeff.copy()
+        want = fct_backward_batch(coeff)
+        assert np.array_equal(coeff, kept)
+        got = fct_backward_batch(coeff, overwrite=True)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
     def test_spectral_impulse(self):
         # backward of a DC impulse carries the 2/N weights and the halved
         # zero-frequency terms: (4/(2*2)) * (1/2) * (1/2) * 1 = 1/4
