@@ -39,6 +39,7 @@ def pcg(
     b: np.ndarray,
     rtol: float,
     max_iter: int = 1024,
+    overwrite_b: bool = False,
 ) -> tuple[np.ndarray, SolveReport]:
     """Conjugate gradients on A p = b with a fixed SPD preconditioner.
 
@@ -52,7 +53,9 @@ def pcg(
     beyond the results of apply_A and apply_M_inv. pcg scales the array that
     apply_A returns (after copying it if it shares memory with a work vector)
     and only reads the one apply_M_inv returns, so either may hand back its
-    argument or an internal buffer that it reuses on the next call.
+    argument or an internal buffer that it reuses on the next call. `b` is
+    left untouched unless `overwrite_b` is true; then it holds the running
+    residual, which saves a grid array for callers that no longer need b.
     """
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
@@ -67,7 +70,7 @@ def pcg(
     if norm_b == 0.0:
         return p, SolveReport(0, True, [0.0])
 
-    r = b.copy()
+    r = b if overwrite_b else b.copy()
     w = apply_M_inv(r).copy()
     rho = float(np.dot(r, w))
     if rho <= 0.0:

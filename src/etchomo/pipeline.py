@@ -163,7 +163,8 @@ def homogenize(
 
     t1 = time.perf_counter()
     solution, report = pcg(
-        lambda u: apply_operator(sys, u), apply_m, b, rtol, max_iter
+        lambda u: apply_operator(sys, u), apply_m, b, rtol, max_iter,
+        overwrite_b=True,
     )
     flux = reconstruct_boundary_flux(sys, solution)
     report.kappa_eff = effective_conductivity(sys, flux)
@@ -206,7 +207,8 @@ def solve_smooth(
 
     t1 = time.perf_counter()
     solution, report = pcg(
-        lambda u: apply_operator(sys, u), apply_m, b, rtol, max_iter
+        lambda u: apply_operator(sys, u), apply_m, b, rtol, max_iter,
+        overwrite_b=True,
     )
     report.l2_error = l2_error_midpoint(grid, solution.astype(np.float64), exact)
     report.exec_seconds = time.perf_counter() - t1

@@ -126,6 +126,20 @@ class TestPcg:
             assert np.array_equal(p, want_p)
             assert rep.converged and rep.iterations == len(want_hist) - 1
 
+    def test_overwrite_b_gives_the_same_iterates(self, boundary_z):
+        rng = np.random.default_rng(4)
+        sys = build_system(random_field(rng, 5, 4, 6, contrast=30.0), boundary_z)
+        apply_m = FctPreconditioner(sys.grid, solve_reference_lp(coefficient_stats(sys)))
+        b = build_rhs(sys)
+        kept = b.copy()
+        p, rep = pcg(lambda u: apply_operator(sys, u), apply_m, b, 1e-10)
+        assert np.array_equal(b, kept)
+        p_ow, rep_ow = pcg(lambda u: apply_operator(sys, u), apply_m, b, 1e-10, overwrite_b=True)
+        assert np.array_equal(p_ow, p)
+        assert rep_ow.relative_residuals == rep.relative_residuals
+        # b now holds the final recursive residual
+        assert np.linalg.norm(b) / np.linalg.norm(kept) == rep.relative_residuals[-1]
+
     def test_breakdown_on_indefinite_operator(self):
         mat = np.diag([1.0, -1.0])
         b = np.array([1.0, 1.0])
