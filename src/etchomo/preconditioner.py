@@ -171,11 +171,15 @@ class TridiagFactors:
 
     Stores the two eigen-weight tables 2*(1-cos(q*pi/N)), the z-chain
     diagonal and the off-diagonal (O(nx+ny+nz) data), plus the elimination
-    factors of every block, computed on first use by `elimination`.
+    factors of every block, computed on first use by `elimination`. With the
+    factors it keeps a list of their (ny, nx) plane views, one per layer, so
+    the sweeps of `thomas_solve_batch` index no array per layer. The views
+    share the factors' memory.
     """
 
     __slots__ = ("grid", "refs", "dtype", "weights_x", "weights_y",
-                 "plane_shift", "z_diag", "off", "_upper", "_last_pivot")
+                 "plane_shift", "z_diag", "off", "_upper", "_last_pivot",
+                 "_upper_planes")
 
     def __init__(self, grid: GridSpec, refs: ReferenceParams, dtype=np.float64):
         self.grid = grid
@@ -201,6 +205,7 @@ class TridiagFactors:
         self.off = self.dtype.type(-refs.kz_ref)
         self._upper = None
         self._last_pivot = None
+        self._upper_planes = None
 
     def elimination(self) -> tuple[np.ndarray, np.ndarray]:
         """The factors T = U^T D U of every block, computed once and cached.
@@ -210,6 +215,7 @@ class TridiagFactors:
         plane, shape (ny, nx). The other pivots are off / upper. Raises
         FloatingPointError if a pivot is not positive (NaN included) or a
         multiplier is too small for the pivots to be recovered from it.
+        The plane views `list(upper)` are cached alongside.
         """
         if self._upper is None:
             shift, off = self.plane_shift, self.off
@@ -227,6 +233,7 @@ class TridiagFactors:
                     "tridiagonal multiplier underflows the working precision"
                 )
             self._upper, self._last_pivot = upper, pivot
+            self._upper_planes = list(upper)
         return self._upper, self._last_pivot
 
     def dense_block(self, i: int, j: int) -> np.ndarray:
@@ -255,24 +262,28 @@ def thomas_solve_batch(
 
     Uses the cached factors T = U^T D U over the whole (ny, nx) plane at once:
     a unit-lower sweep, one scaling by the inverse pivots and a unit-upper
-    sweep. The first call on `factors` also factors the blocks.
+    sweep. The sweeps walk the factors' cached plane views alongside a list
+    of the right-hand side's layer views, with two ufunc calls into one
+    plane of scratch per layer. The first call on `factors` also factors the
+    blocks.
     """
     upper, last_pivot = factors.elimination()
+    planes = factors._upper_planes
     x = rhs.reshape(factors.grid.shape)
     if not overwrite:
         x = x.copy()
-    nz = x.shape[0]
+    xs = list(x)
     scratch = np.empty(x.shape[1:], dtype=x.dtype)
-    for k in range(1, nz):
-        np.multiply(upper[k - 1], x[k - 1], out=scratch)
-        x[k] -= scratch
+    for l, prev, xk in zip(planes, xs, xs[1:]):
+        np.multiply(l, prev, scratch)
+        np.subtract(xk, scratch, xk)
     # 1/pivot_k = upper_k / off for every layer but the last
     x[:-1] *= upper
     x[:-1] /= factors.off
     x[-1] /= last_pivot
-    for k in range(nz - 2, -1, -1):
-        np.multiply(upper[k], x[k + 1], out=scratch)
-        x[k] -= scratch
+    for l, nxt, xk in zip(reversed(planes), reversed(xs[1:]), reversed(xs[:-1])):
+        np.multiply(l, nxt, scratch)
+        np.subtract(xk, scratch, xk)
     return x.reshape(rhs.shape)
 
 

@@ -3,15 +3,25 @@
 The operator is kept matrix-free: a DiscreteSystem stores only the
 h-scaled face transmissibilities (harmonic means of adjacent scaled cells)
 plus the Dirichlet-face terms, and `apply_operator` evaluates the 7-point
-stencil directly. Boundary potentials enter through the right-hand side
-with ghost values fixed at zero outside the domain.
+stencil directly on the flat x-fastest vector: each axis is a flat offset
+(1, nx or nx*ny), its face fluxes are formed in one contiguous pass, and the
+fluxes that would wrap from the end of one grid line into the next are
+zeroed. Boundary potentials enter through the right-hand side with ghost
+values fixed at zero outside the domain.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Axis, BoundaryConfig, ConfigError, GridSpec, OrthotropicField
+from .grid import (
+    Axis,
+    BoundaryConfig,
+    ConfigError,
+    GridSpec,
+    OrthotropicField,
+    _all_positive_finite,
+)
 
 DENSE_GUARD = 4096
 
@@ -68,7 +78,7 @@ class DiscreteSystem:
         for name, (arr, want) in sizes.items():
             if arr.size != want:
                 raise ConfigError(f"{name} has {arr.size} entries, expected {want}")
-            if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0)):
+            if arr.size and not _all_positive_finite(arr):
                 raise ConfigError(f"{name} must be strictly positive")
 
     @property
@@ -130,30 +140,54 @@ def build_system(field: OrthotropicField, boundary: BoundaryConfig) -> DiscreteS
     return DiscreteSystem(g, *faces, t_in, t_out, boundary)
 
 
+def _add_face_fluxes(sys: DiscreteSystem, u: np.ndarray, out: np.ndarray) -> None:
+    """Interior-face part of `apply_operator`, accumulated into flat `out`.
+
+    The flux buffer is local, so it is freed before the caller allocates the
+    Dirichlet-layer products.
+    """
+    g = sys.grid
+    n = g.n_cells
+    nx, nxy = g.nx, g.nx * g.ny
+    flux = np.empty(n, dtype=u.dtype)
+    for faces, s, line in ((sys.tx, 1, nx), (sys.ty, nx, nxy), (sys.tz, nxy, n)):
+        if faces.size == 0:
+            continue
+        f = flux[: n - s]
+        np.subtract(u[s:], u[:-s], out=f)
+        lines = flux.reshape(-1, line)
+        lines[:, line - s:] = 0
+        lines[:, : line - s] *= faces.reshape(-1, line - s)
+        out[s:] += f
+        out[:-s] -= f
+
+
 def apply_operator(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
     """Matrix-free stencil product: difference fluxes over interior faces plus
-    the Dirichlet-face contributions on the k=0 and k=nz-1 layers."""
+    the Dirichlet-face contributions on the k=0 and k=nz-1 layers.
+
+    Works on the flat x-fastest vector. Along an axis with flat step s (1,
+    nx or nx*ny) the flux over the face between cells p and p+s is
+    t * (u[p+s] - u[p]), formed for every p at once in one contiguous buffer.
+    Where p is among the last s cells of its line (nx, nx*ny or all cells),
+    p+s lies in the next line, so that flux is set to zero; the others are
+    scaled by the face array viewed as (lines, line - s). Then
+    out[s:] += flux and out[:-s] -= flux. Adding or subtracting the zero
+    wrap fluxes changes no bit of `out`, because `out` is never -0: it starts
+    at +0, and a sum or difference is -0 only where its first operand is.
+    So the result equals the per-axis slice form bit for bit.
+    """
     g = sys.grid
-    if u.size != g.n_cells:
-        raise ValueError(f"vector has {u.size} entries, expected {g.n_cells}")
-    v = u.reshape(g.shape)
-    out = np.zeros_like(v)
-
-    for faces, hi, lo in (
-        (sys.faces_x(), np.s_[:, :, 1:], np.s_[:, :, :-1]),
-        (sys.faces_y(), np.s_[:, 1:, :], np.s_[:, :-1, :]),
-        (sys.faces_z(), np.s_[1:, :, :], np.s_[:-1, :, :]),
-    ):
-        # one flux temporary, freed before the next axis allocates its own
-        flux = np.subtract(v[hi], v[lo])
-        flux *= faces
-        out[hi] += flux
-        out[lo] -= flux
-        del flux
-
-    out[0] += sys.layer_in() * v[0]
-    out[-1] += sys.layer_out() * v[-1]
-    return out.reshape(-1)
+    n = g.n_cells
+    if u.size != n:
+        raise ValueError(f"vector has {u.size} entries, expected {n}")
+    u = u.reshape(-1)
+    out = np.zeros(n, dtype=u.dtype)
+    _add_face_fluxes(sys, u, out)
+    nxy = g.nx * g.ny
+    out[:nxy] += sys.t_in * u[:nxy]
+    out[n - nxy:] += sys.t_out * u[n - nxy:]
+    return out
 
 
 def operator_diagonal(sys: DiscreteSystem) -> np.ndarray:

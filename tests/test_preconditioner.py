@@ -269,6 +269,46 @@ class TestTridiag:
             thomas_solve_batch(fac, np.ones((3, 4, 4), dtype=np.float32))
 
 
+def indexed_thomas(factors, rhs, overwrite=False):
+    """Thomas sweeps indexing the factors and the right-hand side layer by
+    layer: the reference for the plane-view sweeps of thomas_solve_batch."""
+    upper, last_pivot = factors.elimination()
+    x = rhs.reshape(factors.grid.shape)
+    if not overwrite:
+        x = x.copy()
+    nz = x.shape[0]
+    scratch = np.empty(x.shape[1:], dtype=x.dtype)
+    for k in range(1, nz):
+        np.multiply(upper[k - 1], x[k - 1], out=scratch)
+        x[k] -= scratch
+    x[:-1] *= upper
+    x[:-1] /= factors.off
+    x[-1] /= last_pivot
+    for k in range(nz - 2, -1, -1):
+        np.multiply(upper[k], x[k + 1], out=scratch)
+        x[k] -= scratch
+    return x.reshape(rhs.shape)
+
+
+class TestThomasBits:
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("nz", [1, 2, 3, 7])
+    def test_equals_indexed_sweeps(self, nz, dtype, overwrite):
+        rng = np.random.default_rng(40 + nz)
+        fac = build_tridiag(GridSpec(5, 4, nz), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), dtype)
+        rhs = rng.standard_normal((nz, 4, 5)).astype(dtype)
+        mine, theirs = rhs.copy(), rhs.copy()
+        got = thomas_solve_batch(fac, mine, overwrite=overwrite)
+        want = indexed_thomas(fac, theirs, overwrite=overwrite)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+        if overwrite:
+            assert np.shares_memory(got, mine) and np.array_equal(mine, got)
+        else:
+            assert np.array_equal(mine, rhs)
+
+
 class TestFctPreconditioner:
     def test_degenerate_single_column(self):
         refs = ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9)

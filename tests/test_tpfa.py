@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from etchomo import (
     Axis,
     BoundaryConfig,
+    ConfigError,
+    DiscreteSystem,
     FctPreconditioner,
     GridSpec,
     OrthotropicField,
@@ -132,6 +135,84 @@ class TestApplyOperator:
             sys = build_system(f, boundary_z)
             vals = np.linalg.eigvalsh(assemble_dense(sys))
             assert vals[0] > 0.0
+
+
+def slice_stencil(sys, u):
+    """Per-axis slice form of the stencil, the reference for the flat-offset
+    kernel: fluxes over (nz, ny, nx) face views, applied in the same order."""
+    v = u.reshape(sys.grid.shape)
+    out = np.zeros_like(v)
+    for faces, hi, lo in (
+        (sys.faces_x(), np.s_[:, :, 1:], np.s_[:, :, :-1]),
+        (sys.faces_y(), np.s_[:, 1:, :], np.s_[:, :-1, :]),
+        (sys.faces_z(), np.s_[1:, :, :], np.s_[:-1, :, :]),
+    ):
+        flux = np.subtract(v[hi], v[lo])
+        flux *= faces
+        out[hi] += flux
+        out[lo] -= flux
+    out[0] += sys.layer_in() * v[0]
+    out[-1] += sys.layer_out() * v[-1]
+    return out.reshape(-1)
+
+
+class TestStencilBits:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "dims",
+        [(1, 1, 1), (1, 1, 5), (3, 1, 1), (1, 4, 1), (2, 3, 4), (5, 1, 7), (7, 6, 1), (6, 5, 4)],
+    )
+    def test_equals_slice_stencil(self, dims, dtype, boundary_z):
+        rng = np.random.default_rng(sum(dims) + 7 * dims[0])
+        sys = build_system(random_field(rng, *dims, dtype=dtype), boundary_z)
+        n = sys.grid.n_cells
+        signed_zeros = rng.standard_normal(n).astype(dtype)
+        signed_zeros[::3] = -0.0
+        signed_zeros[1::4] = 0.0
+        for u in (rng.standard_normal(n).astype(dtype), signed_zeros):
+            got, want = apply_operator(sys, u), slice_stencil(sys, u)
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_apply_allocates_out_and_one_flux_array(self, boundary_z):
+        rng = np.random.default_rng(28)
+        sys = build_system(random_field(rng, 32, 32, 32), boundary_z)
+        u = rng.standard_normal(sys.grid.n_cells)
+        apply_operator(sys, u)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = apply_operator(sys, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == u.nbytes
+        assert (peak - before) / u.nbytes <= 2.6
+
+
+class TestDiscreteSystemChecks:
+    # face and layer array sizes on a 3x2x4 grid
+    SIZES = {"tx": 16, "ty": 12, "tz": 18, "t_in": 6, "t_out": 6}
+
+    def make(self, boundary, name, values):
+        arrays = {k: np.ones(n) for k, n in self.SIZES.items()}
+        arrays[name] = values
+        return DiscreteSystem(GridSpec(3, 2, 4), *arrays.values(), boundary)
+
+    @pytest.mark.parametrize("name", list(SIZES))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, -np.inf])
+    def test_rejects_bad_entry(self, name, bad, boundary_z):
+        values = np.ones(self.SIZES[name])
+        values[-1] = bad
+        with pytest.raises(ConfigError, match=f"^{name} must be strictly positive$"):
+            self.make(boundary_z, name, values)
+
+    @pytest.mark.parametrize("name", list(SIZES))
+    def test_rejects_wrong_size(self, name, boundary_z):
+        want = self.SIZES[name]
+        with pytest.raises(ConfigError, match=f"^{name} has {want + 1} entries, expected {want}$"):
+            self.make(boundary_z, name, np.ones(want + 1))
 
 
 class TestRhs:
