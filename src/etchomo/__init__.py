@@ -37,15 +37,11 @@ from .preconditioner import (
     CoefficientStats,
     FctPreconditioner,
     ReferenceParams,
-    build_tridiag,
     coefficient_stats,
-    fct_precond_apply,
     identity_apply,
-    jacobi_apply,
     ones_reference,
     reference_system,
     solve_reference_lp,
-    ssor_apply,
     thomas_solve_batch,
 )
 from .tpfa import (

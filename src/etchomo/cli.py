@@ -185,10 +185,12 @@ def cmd_solve(args) -> int:
     return 0 if report.converged else 1
 
 
-def cmd_convergence(args) -> int:
-    plan = ExperimentPlan(
+def _plan(args, params: dict, **overrides) -> ExperimentPlan:
+    """The ExperimentPlan of a study command: generator, boundary and solver
+    flags from `args`, with `overrides` on top."""
+    fields = dict(
         generator=args.config,
-        params={"n_values": args.n or [16, 32, 64], "kappa_inc": args.kappa_inc},
+        params=params,
         axis=Axis(args.axis),
         p_in=args.p_in,
         p_out=args.p_out,
@@ -198,26 +200,24 @@ def cmd_convergence(args) -> int:
         max_iter=args.max_iter,
         out_dir=Path(args.output),
     )
-    rows = pipeline.run_convergence_study(plan)
+    fields.update(overrides)
+    return ExperimentPlan(**fields)
+
+
+def cmd_convergence(args) -> int:
+    params = {"n_values": args.n or [16, 32, 64], "kappa_inc": args.kappa_inc}
+    rows = pipeline.run_convergence_study(_plan(args, params))
     for row in rows:
         print(row)
     return 0
 
 
 def cmd_compare(args) -> int:
-    plan = ExperimentPlan(
-        generator=args.config,
-        params=_generator_params(args),
-        axis=Axis(args.axis),
-        p_in=args.p_in,
-        p_out=args.p_out,
-        rtols=(args.rtol,),
+    plan = _plan(
+        args,
+        _generator_params(args),
         preconds=tuple(args.precond or ["fct", "ssor", "jacobi", "none"]),
-        ref_mode=args.ref,
-        precision=args.precision,
         omega=args.omega,
-        max_iter=args.max_iter,
-        out_dir=Path(args.output),
     )
     reports = pipeline.compare_preconditioners(plan)
     failed = False
@@ -246,17 +246,11 @@ def cmd_channels(args) -> int:
 
 
 def cmd_precision(args) -> int:
-    plan = ExperimentPlan(
-        generator=args.config,
-        params=_generator_params(args),
-        axis=Axis(args.axis),
-        p_in=args.p_in,
-        p_out=args.p_out,
+    plan = _plan(
+        args,
+        _generator_params(args),
         rtols=tuple(args.rtol or [1e-5, 1e-6, 1e-7, 1e-8, 1e-9]),
-        ref_mode=args.ref,
         precision="f64",
-        max_iter=args.max_iter,
-        out_dir=Path(args.output),
     )
     rows = pipeline.precision_study(plan)
     for row in rows:

@@ -13,15 +13,15 @@ import math
 import numpy as np
 
 from .grid import Axis, BoundaryConfig, GridSpec, OrthotropicField
-from .krylov import dense_solve, pcg
+from .krylov import dense_solve
+from .pipeline import _prepare, _solve
 from .preconditioner import (
     CoefficientStats,
     FctPreconditioner,
-    coefficient_stats,
     reference_system,
     solve_reference_lp,
 )
-from .tpfa import apply_operator, assemble_dense, build_rhs, build_system
+from .tpfa import apply_operator, assemble_dense, build_rhs
 from .transforms import dct1d_ref_forward, fct_backward_batch, fct_forward_batch
 
 
@@ -60,13 +60,10 @@ def check_dense_solver(max_n: int, rng) -> tuple[bool, str]:
     for _ in range(5):
         dims = rng.integers(2, max_n + 1, 3)
         field = _random_field(rng, *map(int, dims), contrast=100.0)
-        sys = build_system(field, BoundaryConfig(Axis.Z, 1.0, 0.0))
+        sys, apply_m, stub = _prepare(field, BoundaryConfig(Axis.Z, 1.0, 0.0))
         b = build_rhs(sys)
-        dense = assemble_dense(sys)
-        direct = dense_solve(dense, b)
-        refs = solve_reference_lp(coefficient_stats(sys))
-        apply_m = FctPreconditioner(sys.grid, refs)
-        iterative, _ = pcg(lambda u: apply_operator(sys, u), apply_m, b, 1e-12)
+        direct = dense_solve(assemble_dense(sys), b)
+        iterative, _ = _solve(sys, apply_m, stub, b, 1e-12, 1024)
         worst = max(
             worst,
             float(np.linalg.norm(iterative - direct) / np.linalg.norm(direct)),

@@ -1,5 +1,14 @@
 """End-to-end homogenization runs and the desk-scale experiment drivers.
 
+Every solve goes through one core: `_prepare` checks the settings, moves the
+Dirichlet axis to z, casts, assembles, picks the reference constants and
+builds the preconditioner; `_solve` checks rtol, runs `pcg`, times it and
+fills the report. `homogenize`, `solve_smooth` and the dense-solver oracle
+differ only in the field and the right-hand side they hand over; `bench`
+times the operator and the preconditioner that `_prepare` built. The permuted
+or cast copy of the field lives only inside `_prepare`, so it is freed before
+the solve starts.
+
 Axis handling works by physically permuting the voxel data so the requested
 Dirichlet direction becomes the canonical z; the discretization and the
 preconditioner never change orientation. Every driver emits deterministic
@@ -72,17 +81,22 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.rtols:
             raise ConfigError("plan needs at least one rtol")
-        for rt in self.rtols:
-            if not 0.0 < rt < 1.0:
-                raise ConfigError(f"rtol must lie in (0, 1), got {rt}")
+        _check_settings(self.precision, self.ref_mode, self.rtols)
         if self.p_in == self.p_out:
             raise ConfigError("p_in must differ from p_out")
-        if self.precision not in _DTYPES:
-            raise ConfigError(f"precision must be f64 or f32, got {self.precision!r}")
-        if self.ref_mode not in ("opt", "one"):
-            raise ConfigError(f"ref mode must be opt or one, got {self.ref_mode!r}")
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
+
+
+def _check_settings(precision: str = "f64", ref_mode: str = "opt", rtols=()) -> None:
+    """The one check of the solver settings shared by plans and the core."""
+    for rt in rtols:
+        if not 0.0 < rt < 1.0:
+            raise ConfigError(f"rtol must lie in (0, 1), got {rt}")
+    if precision not in _DTYPES:
+        raise ConfigError(f"precision must be f64 or f32, got {precision!r}")
+    if ref_mode not in ("opt", "one"):
+        raise ConfigError(f"ref mode must be opt or one, got {ref_mode!r}")
 
 
 def axis_permute(field: OrthotropicField, axis: Axis) -> OrthotropicField:
@@ -122,14 +136,60 @@ def _parse_precond(tag: str, default_omega: float) -> tuple[str, float]:
     raise ConfigError(f"unknown preconditioner tag {tag!r}")
 
 
-def _make_preconditioner(kind, sys, refs, omega, dtype):
+def _prepare(field, boundary, precond="fct", ref_mode="opt", precision="f64", omega=1.0):
+    """Shared set-up of every solve: check the settings, permute, cast,
+    assemble, pick the reference constants and build the preconditioner.
+
+    Returns the system, the preconditioner and a report stub carrying the
+    set-up time, precision, preconditioner tag and reference constants,
+    which `_solve` completes. The permuted or cast field is a local here, so
+    it is gone once the system is built.
+    """
+    _check_settings(precision, ref_mode)
+    kind, omega = _parse_precond(precond, omega)
+    dtype = _DTYPES[precision]
+    t0 = time.perf_counter()
+    canon = BoundaryConfig(Axis.Z, boundary.p_in, boundary.p_out)
+    sys = build_system(axis_permute(field, boundary.axis).astype(dtype), canon)
+    stats = coefficient_stats(sys)
+    refs = solve_reference_lp(stats) if ref_mode == "opt" else ones_reference(stats)
     if kind == "fct":
-        return FctPreconditioner(sys.grid, refs, dtype)
-    if kind == "ssor":
-        return SsorPreconditioner(sys, omega)
-    if kind == "jacobi":
-        return JacobiPreconditioner(sys)
-    return identity_apply
+        apply_m = FctPreconditioner(sys.grid, refs, dtype)
+    elif kind == "ssor":
+        apply_m = SsorPreconditioner(sys, omega)
+    elif kind == "jacobi":
+        apply_m = JacobiPreconditioner(sys)
+    else:
+        apply_m = identity_apply
+    stub = SolveReport(
+        0, False,
+        prep_seconds=time.perf_counter() - t0,
+        precision=precision,
+        preconditioner=f"ssor:{omega:g}" if kind == "ssor" else kind,
+        ref_params=refs,
+    )
+    return sys, apply_m, stub
+
+
+def _solve(sys, apply_m, stub, b, rtol, max_iter, exact=None):
+    """The one `pcg` call site: check rtol, solve with `b` as scratch, then
+    measure the L2 error against `exact` when given, else `kappa_eff`.
+    Returns the solution and the completed report."""
+    _check_settings(rtols=(rtol,))
+    t1 = time.perf_counter()
+    solution, report = pcg(
+        lambda u: apply_operator(sys, u), apply_m, b, rtol, max_iter,
+        overwrite_b=True,
+    )
+    if exact is None:
+        flux = reconstruct_boundary_flux(sys, solution)
+        report.kappa_eff = effective_conductivity(sys, flux)
+    else:
+        report.l2_error = l2_error_midpoint(sys.grid, solution.astype(np.float64), exact)
+    report.exec_seconds = time.perf_counter() - t1
+    for name in ("prep_seconds", "precision", "preconditioner", "ref_params"):
+        setattr(report, name, getattr(stub, name))
+    return solution, report
 
 
 def homogenize(
@@ -144,36 +204,8 @@ def homogenize(
 ) -> SolveReport:
     """Full effective-conductivity run: permute, assemble, pick reference
     constants, solve, reconstruct the outflow flux, average."""
-    if precision not in _DTYPES:
-        raise ConfigError(f"precision must be f64 or f32, got {precision!r}")
-    if ref_mode not in ("opt", "one"):
-        raise ConfigError(f"ref mode must be opt or one, got {ref_mode!r}")
-    kind, omega = _parse_precond(precond, omega)
-    dtype = _DTYPES[precision]
-
-    t0 = time.perf_counter()
-    work = axis_permute(field, boundary.axis).astype(dtype)
-    canon = BoundaryConfig(Axis.Z, boundary.p_in, boundary.p_out)
-    sys = build_system(work, canon)
-    stats = coefficient_stats(sys)
-    refs = solve_reference_lp(stats) if ref_mode == "opt" else ones_reference(stats)
-    apply_m = _make_preconditioner(kind, sys, refs, omega, dtype)
-    b = build_rhs(sys)
-    prep_seconds = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    solution, report = pcg(
-        lambda u: apply_operator(sys, u), apply_m, b, rtol, max_iter,
-        overwrite_b=True,
-    )
-    flux = reconstruct_boundary_flux(sys, solution)
-    report.kappa_eff = effective_conductivity(sys, flux)
-    report.exec_seconds = time.perf_counter() - t1
-    report.prep_seconds = prep_seconds
-    report.precision = precision
-    report.preconditioner = f"ssor:{omega:g}" if kind == "ssor" else kind
-    report.ref_params = refs
-    return report
+    sys, apply_m, stub = _prepare(field, boundary, precond, ref_mode, precision, omega)
+    return _solve(sys, apply_m, stub, build_rhs(sys), rtol, max_iter)[1]
 
 
 def solve_smooth(
@@ -186,36 +218,22 @@ def solve_smooth(
     """Manufactured-solution run: Dirichlet data sampled from the closed-form
     solution on the z faces, volumetric source added, error measured against
     the exact samples."""
-    dtype = _DTYPES[precision]
-    t0 = time.perf_counter()
     field, exact, source = gen_smooth_problem(n)
-    field = field.astype(dtype)
-    grid = field.grid
     # boundary constants are placeholders; the actual data is sampled below
-    sys = build_system(field, BoundaryConfig(Axis.Z, 1.0, 0.0))
+    sys, apply_m, stub = _prepare(
+        field, BoundaryConfig(Axis.Z, 1.0, 0.0), "fct", ref_mode, precision
+    )
+    del field
+    grid = sys.grid
     X, Y, _ = grid.cell_centers()
     b = build_rhs(
         sys,
-        dirichlet_in=np.asarray(exact(X[0], Y[0], 0.0), dtype=dtype),
-        dirichlet_out=np.asarray(exact(X[0], Y[0], grid.lz), dtype=dtype),
+        dirichlet_in=np.asarray(exact(X[0], Y[0], 0.0), dtype=sys.dtype),
+        dirichlet_out=np.asarray(exact(X[0], Y[0], grid.lz), dtype=sys.dtype),
     )
+    del X, Y, _
     b = add_source(sys, b, source)
-    stats = coefficient_stats(sys)
-    refs = solve_reference_lp(stats) if ref_mode == "opt" else ones_reference(stats)
-    apply_m = FctPreconditioner(grid, refs, dtype)
-    prep_seconds = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    solution, report = pcg(
-        lambda u: apply_operator(sys, u), apply_m, b, rtol, max_iter,
-        overwrite_b=True,
-    )
-    report.l2_error = l2_error_midpoint(grid, solution.astype(np.float64), exact)
-    report.exec_seconds = time.perf_counter() - t1
-    report.prep_seconds = prep_seconds
-    report.precision = precision
-    report.ref_params = refs
-    return report
+    return _solve(sys, apply_m, stub, b, rtol, max_iter, exact)[1]
 
 
 def make_field(generator: str, params: dict) -> OrthotropicField:
@@ -290,11 +308,8 @@ def write_report(path, doc: dict) -> None:
 
 
 def write_history(path, residuals) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("iter,relres\n")
-        for i, res in enumerate(residuals):
-            fh.write(f"{i},{res!r}\n")
+    rows = [{"iter": i, "relres": res} for i, res in enumerate(residuals)]
+    _write_rows(path, ["iter", "relres"], rows)
 
 
 def _write_rows(path, header: list, rows: list) -> None:
@@ -323,15 +338,9 @@ def run_convergence_study(plan: ExperimentPlan) -> list:
             rep = solve_smooth(n, rtol, plan.ref_mode, plan.precision, plan.max_iter)
         else:
             field = gen_center_ball(n, plan.params.get("kappa_inc", 10.0))
-            rep = homogenize(
-                field,
-                BoundaryConfig(plan.axis, plan.p_in, plan.p_out),
-                rtol,
-                "fct",
-                plan.ref_mode,
-                plan.precision,
-                max_iter=plan.max_iter,
-            )
+            boundary = BoundaryConfig(plan.axis, plan.p_in, plan.p_out)
+            rep = homogenize(field, boundary, rtol, "fct", plan.ref_mode,
+                             plan.precision, max_iter=plan.max_iter)
         rows.append(
             {
                 "n": n,
@@ -376,23 +385,15 @@ def precision_study(plan: ExperimentPlan) -> list:
     field = make_field(plan.generator, plan.params)
     boundary = BoundaryConfig(plan.axis, plan.p_in, plan.p_out)
     baseline_rtol = 1e-9
-    base = homogenize(field, boundary, baseline_rtol, "fct", plan.ref_mode,
-                      "f64", max_iter=plan.max_iter)
-    rows = [
-        {
-            "precision": "f64",
-            "rtol": baseline_rtol,
-            "kappa_eff": base.kappa_eff,
-            "rel_diff": 0.0,
-            "iterations": base.iterations,
-            "converged": base.converged,
-            "exec_seconds": base.exec_seconds,
-        }
-    ]
-    sweep = [("f32", rt) for rt in plan.rtols] + [("f64", max(plan.rtols))]
+    # the tight f64 run comes first and anchors rel_diff (0.0 on its own row)
+    sweep = ([("f64", baseline_rtol)] + [("f32", rt) for rt in plan.rtols]
+             + [("f64", max(plan.rtols))])
+    rows = []
     for precision, rt in sweep:
         rep = homogenize(field, boundary, rt, "fct", plan.ref_mode, precision,
                          max_iter=plan.max_iter)
+        if not rows:
+            base = rep
         rows.append(
             {
                 "precision": precision,
@@ -429,15 +430,8 @@ def channels_study(
     for psi in psis:
         field = gen_channels(cells_per_period, periods, psi)
         for mode in ref_modes:
-            rep = homogenize(
-                field,
-                BoundaryConfig(Axis.Z, p_in, p_out),
-                rtol,
-                "fct",
-                mode,
-                precision,
-                max_iter=max_iter,
-            )
+            rep = homogenize(field, BoundaryConfig(Axis.Z, p_in, p_out), rtol, "fct",
+                             mode, precision, max_iter=max_iter)
             rows.append(
                 {
                     "psi": psi,
@@ -460,16 +454,9 @@ def channels_study(
 
 def bench(n: int, precision: str = "f64", rounds: int = 10) -> dict:
     """Preparation/execution timing split for the core kernels at one size."""
-    dtype = _DTYPES[precision]
-    field = gen_center_ball(n, 10.0).astype(dtype)
-    boundary = BoundaryConfig(Axis.Z, 1.0, 0.0)
-
-    t0 = time.perf_counter()
-    sys = build_system(field, boundary)
-    refs = solve_reference_lp(coefficient_stats(sys))
-    apply_m = FctPreconditioner(sys.grid, refs, dtype)
-    prep = time.perf_counter() - t0
-
+    sys, apply_m, stub = _prepare(
+        gen_center_ball(n, 10.0), BoundaryConfig(Axis.Z, 1.0, 0.0), precision=precision
+    )
     r = build_rhs(sys)
     t0 = time.perf_counter()
     for _ in range(rounds):
@@ -482,7 +469,7 @@ def bench(n: int, precision: str = "f64", rounds: int = 10) -> dict:
     return {
         "n": n,
         "precision": precision,
-        "prep_seconds": prep,
+        "prep_seconds": stub.prep_seconds,
         "precond_apply_seconds": precond_time,
         "operator_apply_seconds": operator_time,
     }

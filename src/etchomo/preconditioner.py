@@ -251,10 +251,6 @@ def _check_pivot(pivot: np.ndarray, k: int) -> None:
         raise FloatingPointError(f"non-positive pivot in tridiagonal solve at layer {k}")
 
 
-def build_tridiag(grid: GridSpec, refs: ReferenceParams, dtype=np.float64) -> TridiagFactors:
-    return TridiagFactors(grid, refs, dtype)
-
-
 def thomas_solve_batch(
     factors: TridiagFactors, rhs: np.ndarray, overwrite: bool = False
 ) -> np.ndarray:
@@ -287,24 +283,22 @@ def thomas_solve_batch(
     return x.reshape(rhs.shape)
 
 
-def fct_precond_apply(factors: TridiagFactors, r: np.ndarray) -> np.ndarray:
-    """Apply the inverse reference operator: forward cosine transform of each
-    k-slice, one tridiagonal solve per transformed column, backward transform.
-    `r` is left untouched; the result is the one new grid array."""
-    r = np.asarray(r, dtype=factors.dtype).reshape(factors.grid.shape)
-    coeff = fct_forward_batch(r)
-    thomas_solve_batch(factors, coeff, overwrite=True)
-    return fct_backward_batch(coeff, overwrite=True).reshape(-1)
-
-
 class FctPreconditioner:
     """Tridiagonal factors with a callable apply."""
 
     def __init__(self, grid: GridSpec, refs: ReferenceParams, dtype=np.float64):
-        self.factors = build_tridiag(grid, refs, dtype)
+        self.factors = TridiagFactors(grid, refs, dtype)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return fct_precond_apply(self.factors, r)
+        """Apply the inverse reference operator: forward cosine transform of
+        each k-slice, one tridiagonal solve per transformed column, backward
+        transform. `r` is left untouched; the result is the one new grid
+        array."""
+        factors = self.factors
+        r = np.asarray(r, dtype=factors.dtype).reshape(factors.grid.shape)
+        coeff = fct_forward_batch(r)
+        thomas_solve_batch(factors, coeff, overwrite=True)
+        return fct_backward_batch(coeff, overwrite=True).reshape(-1)
 
 
 class SsorPreconditioner:
@@ -340,22 +334,12 @@ class SsorPreconditioner:
         return y.astype(self._dtype, copy=False)
 
 
-def ssor_apply(sys: DiscreteSystem, omega: float, r: np.ndarray) -> np.ndarray:
-    """One-shot SSOR application (builds the sweep factors; prefer the class
-    inside iterative loops)."""
-    return SsorPreconditioner(sys, omega)(r)
-
-
 class JacobiPreconditioner:
     def __init__(self, sys: DiscreteSystem):
         self._inv_diag = 1.0 / operator_diagonal(sys)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return r * self._inv_diag
-
-
-def jacobi_apply(sys: DiscreteSystem, r: np.ndarray) -> np.ndarray:
-    return r * (1.0 / operator_diagonal(sys))
 
 
 def identity_apply(r: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import etchomo.preconditioner
 from etchomo import gen_center_ball, write_vox
@@ -76,6 +77,17 @@ def test_equal_potentials_exit_2(tmp_path, capsys):
     code = main(["solve", str(vox), "--p-in", "1", "--p-out", "1"])
     assert code == 2
     assert "p_in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rtol", ["1.5", "1", "nan"])
+def test_rtol_outside_unit_interval_exit_2(tmp_path, capsys, rtol):
+    vox = tmp_path / "ball.vox"
+    write_vox(gen_center_ball(4, 10.0), vox)
+    assert main(["solve", str(vox), "--rtol", rtol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("etc: configuration error: rtol")
 
 
 def test_unknown_flag_exit_2(capsys):

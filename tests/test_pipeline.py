@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,38 @@ class TestHomogenize:
             homogenize(f, boundary_z, precision="f16")
         with pytest.raises(ConfigError):
             homogenize(f, boundary_z, ref_mode="auto")
+
+    @pytest.mark.parametrize("rtol", [1.0, 1.5, 0.0, -1e-9, float("nan")])
+    def test_rejects_rtol_outside_unit_interval(self, boundary_z, rtol):
+        with pytest.raises(ConfigError, match="rtol must lie in"):
+            homogenize(constant_field(2, 2, 2), boundary_z, rtol)
+
+    def test_solve_smooth_rejects_unknown_settings(self):
+        with pytest.raises(ConfigError):
+            solve_smooth(8, precision="f16")
+        with pytest.raises(ConfigError):
+            solve_smooth(8, ref_mode="auto")
+        with pytest.raises(ConfigError):
+            solve_smooth(8, rtol=1.0)
+
+    def test_permuted_field_is_freed_before_the_solve(self):
+        # Solving f along x is the z-solve of its permuted copy, bit for bit,
+        # so their peaks differ only by what the x-solve keeps of that copy.
+        rng = np.random.default_rng(30)
+        f = random_field(rng, 32, 32, 32)
+        permuted = axis_permute(f, Axis.X)
+        cases = {"x": (f, Axis.X), "z": (permuted, Axis.Z)}
+        homogenize(permuted, BoundaryConfig(Axis.Z, 1.0, 0.0), 1e-6)  # warm-up
+        peaks, reports = {}, {}
+        for name, (field, axis) in cases.items():
+            tracemalloc.start()
+            try:
+                reports[name] = homogenize(field, BoundaryConfig(axis, 1.0, 0.0), 1e-6)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert reports["x"].kappa_eff == reports["z"].kappa_eff
+        assert abs(peaks["x"] - peaks["z"]) <= 0.1 * f.kx.nbytes
 
 
 class TestExperimentPlan:

@@ -15,21 +15,17 @@ from etchomo import (
     assemble_dense,
     build_rhs,
     build_system,
-    build_tridiag,
     coefficient_stats,
     condition_estimate,
-    fct_precond_apply,
     identity_apply,
-    jacobi_apply,
     ones_reference,
     pcg,
     reference_system,
     scale_field,
     solve_reference_lp,
-    ssor_apply,
     thomas_solve_batch,
 )
-from etchomo.preconditioner import SsorPreconditioner
+from etchomo.preconditioner import JacobiPreconditioner, SsorPreconditioner, TridiagFactors
 
 from conftest import constant_field, random_field
 
@@ -174,25 +170,25 @@ class TestReferenceLp:
 
 class TestTridiag:
     def test_dense_block_ones(self):
-        fac = build_tridiag(GridSpec(4, 4, 3), ReferenceParams(1, 1, 1, 1, 1))
+        fac = TridiagFactors(GridSpec(4, 4, 3), ReferenceParams(1, 1, 1, 1, 1))
         want = np.array([[3.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 3.0]])
         assert np.array_equal(fac.dense_block(0, 0), want)
 
     def test_high_mode_shift_approaches_four(self):
         nx = 100
-        fac = build_tridiag(GridSpec(nx, 4, 2), ReferenceParams(2.0, 1, 1, 1, 1))
+        fac = TridiagFactors(GridSpec(nx, 4, 2), ReferenceParams(2.0, 1, 1, 1, 1))
         shift = fac.dense_block(nx - 1, 0)[0, 0] - fac.dense_block(0, 0)[0, 0]
         assert shift == pytest.approx(4.0 * 2.0, rel=1e-3)
 
     def test_blocks_positive_definite(self):
-        fac = build_tridiag(GridSpec(3, 3, 4), ReferenceParams(1, 1, 1, 1, 1))
+        fac = TridiagFactors(GridSpec(3, 3, 4), ReferenceParams(1, 1, 1, 1, 1))
         for iq in range(3):
             for jq in range(3):
                 vals = np.linalg.eigvalsh(fac.dense_block(iq, jq))
                 assert vals[0] > 0.0
 
     def test_thomas_single_layer(self):
-        fac = build_tridiag(GridSpec(2, 2, 1), ReferenceParams(1, 1, 1, 0.5, 0.25))
+        fac = TridiagFactors(GridSpec(2, 2, 1), ReferenceParams(1, 1, 1, 0.5, 0.25))
         rhs = np.arange(1.0, 5.0).reshape(1, 2, 2)
         got = thomas_solve_batch(fac, rhs)
         for j in range(2):
@@ -201,14 +197,14 @@ class TestTridiag:
                 assert got[0, j, i] == pytest.approx(rhs[0, j, i] / t[0, 0], rel=1e-14)
 
     def test_thomas_multiply_back(self):
-        fac = build_tridiag(GridSpec(1, 1, 3), ReferenceParams(1, 1, 1, 1, 1))
+        fac = TridiagFactors(GridSpec(1, 1, 3), ReferenceParams(1, 1, 1, 1, 1))
         rhs = np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1)
         got = thomas_solve_batch(fac, rhs)
         t = fac.dense_block(0, 0)
         assert np.max(np.abs(t @ got.ravel() - rhs.ravel())) <= 1e-14
 
     def test_thomas_batch_determinism(self):
-        fac = build_tridiag(GridSpec(3, 3, 5), ReferenceParams(1, 1, 1, 1, 1))
+        fac = TridiagFactors(GridSpec(3, 3, 5), ReferenceParams(1, 1, 1, 1, 1))
         rng = np.random.default_rng(17)
         column = rng.standard_normal(5)
         rhs = np.broadcast_to(column[:, None, None], (5, 3, 3)).copy()
@@ -224,7 +220,7 @@ class TestTridiag:
     def test_thomas_random_batch_vs_dense(self):
         rng = np.random.default_rng(18)
         refs = ReferenceParams(0.3, 2.0, 1.5, 0.8, 1.1)
-        fac = build_tridiag(GridSpec(4, 3, 6), refs)
+        fac = TridiagFactors(GridSpec(4, 3, 6), refs)
         rhs = rng.standard_normal((6, 3, 4))
         got = thomas_solve_batch(fac, rhs.copy())
         for j in range(3):
@@ -234,7 +230,7 @@ class TestTridiag:
 
     def test_factors_once_and_reuses_them(self):
         rng = np.random.default_rng(26)
-        fac = build_tridiag(GridSpec(4, 3, 6), ReferenceParams(0.3, 2.0, 1.5, 0.8, 1.1))
+        fac = TridiagFactors(GridSpec(4, 3, 6), ReferenceParams(0.3, 2.0, 1.5, 0.8, 1.1))
         solves = []
         for _ in range(2):
             rhs = rng.standard_normal((6, 3, 4))
@@ -249,14 +245,14 @@ class TestTridiag:
         assert upper_a.shape == (5, 3, 4) and pivot_a.shape == (3, 4)
 
     def test_f32_factors_stay_f32(self):
-        fac = build_tridiag(GridSpec(5, 4, 7), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), np.float32)
+        fac = TridiagFactors(GridSpec(5, 4, 7), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), np.float32)
         rhs = np.ones((7, 4, 5), dtype=np.float32)
         assert thomas_solve_batch(fac, rhs).dtype == np.float32
         upper, last_pivot = fac.elimination()
         assert upper.dtype == last_pivot.dtype == np.float32
 
     def test_nan_pivot_raises(self):
-        fac = build_tridiag(GridSpec(3, 2, 4), ReferenceParams(1, 1, 1, 1, 1))
+        fac = TridiagFactors(GridSpec(3, 2, 4), ReferenceParams(1, 1, 1, 1, 1))
         fac.z_diag[2] = np.nan
         with pytest.raises(FloatingPointError, match="layer 2"):
             thomas_solve_batch(fac, np.ones((4, 2, 3)))
@@ -264,7 +260,7 @@ class TestTridiag:
     def test_underflowing_multiplier_raises(self):
         # kz_ref / kx_ref = 1e-40: off / pivot is below the smallest normal
         # float32, so the pivots could not be recovered from the multipliers
-        fac = build_tridiag(GridSpec(4, 4, 3), ReferenceParams(1e10, 1e10, 1e-30, 1, 1), np.float32)
+        fac = TridiagFactors(GridSpec(4, 4, 3), ReferenceParams(1e10, 1e10, 1e-30, 1, 1), np.float32)
         with pytest.raises(FloatingPointError, match="underflow"):
             thomas_solve_batch(fac, np.ones((3, 4, 4), dtype=np.float32))
 
@@ -296,7 +292,7 @@ class TestThomasBits:
     @pytest.mark.parametrize("nz", [1, 2, 3, 7])
     def test_equals_indexed_sweeps(self, nz, dtype, overwrite):
         rng = np.random.default_rng(40 + nz)
-        fac = build_tridiag(GridSpec(5, 4, nz), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), dtype)
+        fac = TridiagFactors(GridSpec(5, 4, nz), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), dtype)
         rhs = rng.standard_normal((nz, 4, 5)).astype(dtype)
         mine, theirs = rhs.copy(), rhs.copy()
         got = thomas_solve_batch(fac, mine, overwrite=overwrite)
@@ -312,11 +308,11 @@ class TestThomasBits:
 class TestFctPreconditioner:
     def test_degenerate_single_column(self):
         refs = ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9)
-        fac = build_tridiag(GridSpec(1, 1, 5), refs)
+        apply_m = FctPreconditioner(GridSpec(1, 1, 5), refs)
         rng = np.random.default_rng(19)
         r = rng.standard_normal(5)
-        got = fct_precond_apply(fac, r)
-        want = np.linalg.solve(fac.dense_block(0, 0), r)
+        got = apply_m(r)
+        want = np.linalg.solve(apply_m.factors.dense_block(0, 0), r)
         assert np.allclose(got, want, rtol=1e-13)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -386,15 +382,15 @@ class TestClassicalBaselines:
         dense = assemble_dense(sys)
         r = np.array([2.5])
         want = r / dense[0, 0]
-        assert np.allclose(jacobi_apply(sys, r), want)
-        assert np.allclose(ssor_apply(sys, 1.0, r), want)
+        assert np.allclose(JacobiPreconditioner(sys)(r), want)
+        assert np.allclose(SsorPreconditioner(sys, 1.0)(r), want)
         assert np.allclose(identity_apply(r), r)
 
     def test_jacobi_against_dense_diagonal(self, boundary_z):
         rng = np.random.default_rng(23)
         sys = build_system(random_field(rng, 4, 4, 4), boundary_z)
         r = rng.standard_normal(64)
-        z = jacobi_apply(sys, r)
+        z = JacobiPreconditioner(sys)(r)
         assert np.allclose(z * np.diag(assemble_dense(sys)), r, rtol=1e-13)
 
     def test_ssor_omega_validation(self, boundary_z):
@@ -414,7 +410,7 @@ class TestClassicalBaselines:
             np.triu(mat, 0) + (1.0 / omega - 1.0) * diag
         ) * (omega / (2.0 - omega))
         r = rng.standard_normal(27)
-        assert np.allclose(ssor_apply(sys, omega, r), np.linalg.solve(m, r), rtol=1e-10)
+        assert np.allclose(SsorPreconditioner(sys, omega)(r), np.linalg.solve(m, r), rtol=1e-10)
 
     def test_pcg_with_ssor_converges(self, boundary_z):
         rng = np.random.default_rng(25)
