@@ -84,16 +84,25 @@ class GridSpec:
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinate arrays (X, Y, Z), each shaped (nz, ny, nx)."""
-        cx = (np.arange(self.nx) + 0.5) * self.hx
-        cy = (np.arange(self.ny) + 0.5) * self.hy
-        cz = (np.arange(self.nz) + 0.5) * self.hz
-        Z, Y, X = np.meshgrid(cz, cy, cx, indexing="ij")
-        return X, Y, Z
+        return tuple(np.broadcast_to(c, self.shape).copy() for c in _center_vectors(self))
 
 
-def _all_positive_finite(a: np.ndarray) -> bool:
+def _center_vectors(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell-centre coordinates (x, y, z) as vectors shaped (1, 1, nx),
+    (1, ny, 1) and (nz, 1, 1): they broadcast to the values of
+    `GridSpec.cell_centers` without three full grids."""
+    cx = (np.arange(grid.nx) + 0.5) * grid.hx
+    cy = (np.arange(grid.ny) + 0.5) * grid.hy
+    cz = (np.arange(grid.nz) + 0.5) * grid.hz
+    return cx.reshape(1, 1, -1), cy.reshape(1, -1, 1), cz.reshape(-1, 1, 1)
+
+
+def _positive_finite_extremes(a: np.ndarray):
+    """(min, max) of a non-empty `a` as scalars of its dtype, or None unless
+    every entry is strictly positive and finite."""
     # min/max need no temporary arrays; a NaN makes both comparisons false
-    return bool(a.min() > 0 and a.max() < np.inf)
+    lo, hi = a.min(), a.max()
+    return (lo, hi) if lo > 0 and hi < np.inf else None
 
 
 def linear_index(i: int, j: int, k: int, grid: GridSpec) -> int:
@@ -138,7 +147,7 @@ class OrthotropicField:
                 )
             if a.dtype not in (np.float64, np.float32):
                 a = a.astype(np.float64)
-            if not _all_positive_finite(a):
+            if _positive_finite_extremes(a) is None:
                 raise ConfigError(f"{name} must be strictly positive and finite")
             a.setflags(write=False)
             return a
@@ -387,7 +396,7 @@ def read_vox(source) -> OrthotropicField:
             got = fh.readinto(a)
             if got != a.nbytes:
                 raise VoxFormatError(f"{name} payload ends early", start + got)
-            if not _all_positive_finite(a):
+            if _positive_finite_extremes(a) is None:
                 first = int(np.argmax(~(np.isfinite(a) & (a > 0))))
                 raise VoxFormatError(
                     f"non-positive {name} entry at cell {first}",

@@ -32,6 +32,7 @@ from .grid import (
     GridSpec,
     OrthotropicField,
     RANDOM_BALL_PRESETS,
+    _center_vectors,
     gen_center_ball,
     gen_channels,
     gen_random_balls,
@@ -82,6 +83,8 @@ class ExperimentPlan:
         if not self.rtols:
             raise ConfigError("plan needs at least one rtol")
         _check_settings(self.precision, self.ref_mode, self.rtols)
+        for tag in self.preconds:
+            _parse_precond(tag, self.omega)
         if self.p_in == self.p_out:
             raise ConfigError("p_in must differ from p_out")
         if self.out_dir is not None:
@@ -126,13 +129,15 @@ def axis_permute(field: OrthotropicField, axis: Axis) -> OrthotropicField:
 
 
 def _parse_precond(tag: str, default_omega: float) -> tuple[str, float]:
-    if tag.startswith("ssor"):
-        omega = default_omega
-        if ":" in tag:
-            omega = float(tag.split(":", 1)[1])
-        return "ssor", omega
-    if tag in ("fct", "jacobi", "none"):
+    """Split a tag fct|jacobi|none|ssor|ssor:<omega> into kind and omega."""
+    if tag in ("fct", "jacobi", "none", "ssor"):
         return tag, default_omega
+    kind, sep, value = tag.partition(":")
+    if kind == "ssor" and sep:
+        try:
+            return "ssor", float(value)
+        except ValueError:
+            pass
     raise ConfigError(f"unknown preconditioner tag {tag!r}")
 
 
@@ -225,13 +230,12 @@ def solve_smooth(
     )
     del field
     grid = sys.grid
-    X, Y, _ = grid.cell_centers()
+    x, y, _ = _center_vectors(grid)
     b = build_rhs(
         sys,
-        dirichlet_in=np.asarray(exact(X[0], Y[0], 0.0), dtype=sys.dtype),
-        dirichlet_out=np.asarray(exact(X[0], Y[0], grid.lz), dtype=sys.dtype),
+        dirichlet_in=np.asarray(exact(x[0], y[0], 0.0), dtype=sys.dtype),
+        dirichlet_out=np.asarray(exact(x[0], y[0], grid.lz), dtype=sys.dtype),
     )
-    del X, Y, _
     b = add_source(sys, b, source)
     return _solve(sys, apply_m, stub, b, rtol, max_iter, exact)[1]
 
@@ -458,6 +462,10 @@ def bench(n: int, precision: str = "f64", rounds: int = 10) -> dict:
         gen_center_ball(n, 10.0), BoundaryConfig(Axis.Z, 1.0, 0.0), precision=precision
     )
     r = build_rhs(sys)
+    # untimed first calls: the first FCT apply factors the tridiagonal blocks
+    # and imports scipy.fft, which no later apply pays again
+    apply_m(r)
+    apply_operator(sys, r)
     t0 = time.perf_counter()
     for _ in range(rounds):
         apply_m(r)

@@ -93,21 +93,21 @@ class ReferenceParams:
         }
 
 
-def _minmax(arr: np.ndarray) -> tuple[float, float]:
-    # degenerate axes (no faces) contribute a neutral group
-    if arr.size == 0:
-        return 1.0, 1.0
-    return float(arr.min()), float(arr.max())
-
-
 def coefficient_stats(sys: DiscreteSystem) -> CoefficientStats:
-    """Exact extremes over the stored transmissibility arrays."""
-    kx = _minmax(sys.tx)
-    ky = _minmax(sys.ty)
-    kz = _minmax(sys.tz)
-    kin = _minmax(sys.t_in / 2.0)
-    kout = _minmax(sys.t_out / 2.0)
-    return CoefficientStats(*kx, *ky, *kz, *kin, *kout)
+    """Exact extremes over the stored transmissibility arrays.
+
+    They are the extremes the DiscreteSystem check found, so no array is
+    scanned again. Degenerate axes (no faces) contribute a neutral group. The
+    boundary extremes are halved in the arrays' dtype, which gives the bits of
+    the extremes of t/2, because rounding is monotone.
+    """
+    ext = sys._extremes
+    values = []
+    for name in ("tx", "ty", "tz"):
+        values += ext.get(name, (1.0, 1.0))
+    for name in ("t_in", "t_out"):
+        values += (v / 2.0 for v in ext[name])
+    return CoefficientStats(*map(float, values))
 
 
 def _bounds(stats: CoefficientStats, refs: dict) -> tuple[float, float]:

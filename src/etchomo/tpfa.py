@@ -3,11 +3,14 @@
 The operator is kept matrix-free: a DiscreteSystem stores only the
 h-scaled face transmissibilities (harmonic means of adjacent scaled cells)
 plus the Dirichlet-face terms, and `apply_operator` evaluates the 7-point
-stencil directly on the flat x-fastest vector: each axis is a flat offset
-(1, nx or nx*ny), its face fluxes are formed in one contiguous pass, and the
-fluxes that would wrap from the end of one grid line into the next are
-zeroed. Boundary potentials enter through the right-hand side with ghost
-values fixed at zero outside the domain.
+stencil directly on the flat x-fastest vector. It walks the grid in slabs of
+whole z-layers, about `_SLAB_BYTES` per array, so the fluxes of one slab live
+in one small buffer instead of a full-grid array: within a slab each axis is
+a flat offset (1, nx or nx*ny), its face fluxes are formed in one contiguous
+pass, and the fluxes that would wrap from the end of one grid line into the
+next are zeroed. The z-fluxes of a slab include the face-layer just below
+it. Boundary potentials enter through the right-hand side with ghost values
+fixed at zero outside the domain.
 """
 
 from __future__ import annotations
@@ -20,10 +23,15 @@ from .grid import (
     ConfigError,
     GridSpec,
     OrthotropicField,
-    _all_positive_finite,
+    _center_vectors,
+    _positive_finite_extremes,
 )
 
 DENSE_GUARD = 4096
+
+# bytes of one slab per array in `apply_operator`; a slab is never less than
+# one z-layer, and a grid smaller than one slab runs as one slab
+_SLAB_BYTES = 256 * 1024
 
 
 def scale_field(field: OrthotropicField):
@@ -55,9 +63,12 @@ class DiscreteSystem:
     tx, ty, tz hold interior-face harmonic means, flat in x-fastest face
     order with sizes (nx-1)*ny*nz, nx*(ny-1)*nz, nx*ny*(nz-1). t_in and
     t_out hold 2*kz/hz^2 on the k=0 and k=nz-1 layers (size nx*ny each).
+    The stored arrays are frozen read-only, so the (min, max) of each
+    non-empty one, kept from the positivity check, stays valid for
+    `coefficient_stats`.
     """
 
-    __slots__ = ("grid", "tx", "ty", "tz", "t_in", "t_out", "boundary")
+    __slots__ = ("grid", "tx", "ty", "tz", "t_in", "t_out", "boundary", "_extremes")
 
     def __init__(self, grid, tx, ty, tz, t_in, t_out, boundary):
         self.grid = grid
@@ -75,11 +86,16 @@ class DiscreteSystem:
             "t_in": (self.t_in, nx * ny),
             "t_out": (self.t_out, nx * ny),
         }
+        self._extremes = {}
         for name, (arr, want) in sizes.items():
             if arr.size != want:
                 raise ConfigError(f"{name} has {arr.size} entries, expected {want}")
-            if arr.size and not _all_positive_finite(arr):
-                raise ConfigError(f"{name} must be strictly positive")
+            if arr.size:
+                extremes = _positive_finite_extremes(arr)
+                if extremes is None:
+                    raise ConfigError(f"{name} must be strictly positive")
+                self._extremes[name] = extremes
+            arr.setflags(write=False)
 
     @property
     def dtype(self) -> np.dtype:
@@ -140,51 +156,65 @@ def build_system(field: OrthotropicField, boundary: BoundaryConfig) -> DiscreteS
     return DiscreteSystem(g, *faces, t_in, t_out, boundary)
 
 
-def _add_face_fluxes(sys: DiscreteSystem, u: np.ndarray, out: np.ndarray) -> None:
-    """Interior-face part of `apply_operator`, accumulated into flat `out`.
-
-    The flux buffer is local, so it is freed before the caller allocates the
-    Dirichlet-layer products.
-    """
-    g = sys.grid
-    n = g.n_cells
-    nx, nxy = g.nx, g.nx * g.ny
-    flux = np.empty(n, dtype=u.dtype)
-    for faces, s, line in ((sys.tx, 1, nx), (sys.ty, nx, nxy), (sys.tz, nxy, n)):
-        if faces.size == 0:
-            continue
-        f = flux[: n - s]
-        np.subtract(u[s:], u[:-s], out=f)
-        lines = flux.reshape(-1, line)
-        lines[:, line - s:] = 0
-        lines[:, : line - s] *= faces.reshape(-1, line - s)
-        out[s:] += f
-        out[:-s] -= f
-
-
 def apply_operator(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
     """Matrix-free stencil product: difference fluxes over interior faces plus
     the Dirichlet-face contributions on the k=0 and k=nz-1 layers.
 
-    Works on the flat x-fastest vector. Along an axis with flat step s (1,
-    nx or nx*ny) the flux over the face between cells p and p+s is
-    t * (u[p+s] - u[p]), formed for every p at once in one contiguous buffer.
-    Where p is among the last s cells of its line (nx, nx*ny or all cells),
-    p+s lies in the next line, so that flux is set to zero; the others are
-    scaled by the face array viewed as (lines, line - s). Then
-    out[s:] += flux and out[:-s] -= flux. Adding or subtracting the zero
-    wrap fluxes changes no bit of `out`, because `out` is never -0: it starts
-    at +0, and a sum or difference is -0 only where its first operand is.
-    So the result equals the per-axis slice form bit for bit.
+    Works on the flat x-fastest vector, one slab of whole z-layers at a time
+    (`_SLAB_BYTES` per array, at least one layer), so the fluxes of a slab sit
+    in one small buffer that stays in cache. Along an axis with flat step s
+    (1, nx or nx*ny) the flux over the face between cells p and p+s is
+    t * (u[p+s] - u[p]), formed for every p of the slab in one contiguous pass.
+    The x- and y-lines lie inside a layer: where p is among the last s cells
+    of its line, p+s lies in the next line, so that flux is set to zero and
+    the others are scaled by the face array viewed as (lines, line - s). Then
+    out[s:] += flux and out[:-s] -= flux over the slab. The z-fluxes of slab
+    layers [k0, k1) cover the faces from layer k0-1 up to layer k1, so the
+    face-layer below the slab, which the slab before formed too, is formed
+    again with the same bits.
+
+    Each cell gets its terms in the order of the per-axis slice form (low
+    face, then high face, for x, y and z, then the Dirichlet layers), so the
+    result equals that form bit for bit. Adding or subtracting the zero wrap
+    fluxes changes no bit of `out`, because `out` is never -0: it starts at
+    +0, and a sum or difference is -0 only where its first operand is.
     """
     g = sys.grid
     n = g.n_cells
     if u.size != n:
         raise ValueError(f"vector has {u.size} entries, expected {n}")
     u = u.reshape(-1)
+    nx, nxy, nz = g.nx, g.nx * g.ny, g.nz
     out = np.zeros(n, dtype=u.dtype)
-    _add_face_fluxes(sys, u, out)
-    nxy = g.nx * g.ny
+    layers = max(1, _SLAB_BYTES // (nxy * u.itemsize))
+    # layers + 1 face-layers for z; never more than the grid
+    flux = np.empty(min((layers + 1) * nxy, n), dtype=u.dtype)
+    inplane = [
+        (faces.reshape(-1, line - s), s, line)
+        for faces, s, line in ((sys.tx, 1, nx), (sys.ty, nx, nxy))
+        if faces.size
+    ]
+    for k0 in range(0, nz, layers):
+        k1 = min(k0 + layers, nz)
+        a, b = k0 * nxy, k1 * nxy
+        o = out[a:b]
+        for faces, s, line in inplane:
+            f = flux[: b - a - s]
+            np.subtract(u[a + s:b], u[a:b - s], out=f)
+            lines = flux[: b - a].reshape(-1, line)
+            lines[:, line - s:] = 0
+            lines[:, : line - s] *= faces[a // line:b // line]
+            o[s:] += f
+            o[:-s] -= f
+        if nz > 1:
+            # face-layers [j0, j1): the one below the slab and those inside it
+            j0, j1 = max(k0 - 1, 0), min(k1, nz - 1)
+            f = flux[: (j1 - j0) * nxy]
+            np.subtract(u[(j0 + 1) * nxy:(j1 + 1) * nxy], u[j0 * nxy:j1 * nxy], out=f)
+            f *= sys.tz[j0 * nxy:j1 * nxy]
+            lo = max(k0, 1) * nxy
+            out[lo:b] += f[: b - lo]
+            out[a:j1 * nxy] -= f[(k0 - j0) * nxy:]
     out[:nxy] += sys.t_in * u[:nxy]
     out[n - nxy:] += sys.t_out * u[n - nxy:]
     return out
@@ -229,11 +259,11 @@ def build_rhs(
 def add_source(sys: DiscreteSystem, b: np.ndarray, source) -> np.ndarray:
     """Add midpoint-rule source samples; the h^3 cell volume cancels against
     the scaling already applied to the bilinear form."""
-    X, Y, Z = sys.grid.cell_centers()
-    samples = np.asarray(source(X, Y, Z), dtype=sys.dtype)
+    grid = sys.grid
+    samples = np.asarray(source(*_center_vectors(grid)), dtype=sys.dtype)
     if not np.all(np.isfinite(samples)):
         raise ValueError("source sampler returned non-finite values")
-    return b + samples.reshape(-1)
+    return (b.reshape(grid.shape) + np.broadcast_to(samples, grid.shape)).reshape(-1)
 
 
 def assemble_dense(sys: DiscreteSystem) -> np.ndarray:
@@ -319,6 +349,5 @@ def effective_conductivity(sys: DiscreteSystem, fluxes: np.ndarray) -> float:
 
 def l2_error_midpoint(grid: GridSpec, p: np.ndarray, exact) -> float:
     """Midpoint-quadrature L2 distance between a cell vector and a sampler."""
-    X, Y, Z = grid.cell_centers()
-    diff = p.reshape(grid.shape) - exact(X, Y, Z)
+    diff = p.reshape(grid.shape) - np.broadcast_to(exact(*_center_vectors(grid)), grid.shape)
     return float(np.sqrt(np.sum(diff.astype(np.float64) ** 2) * grid.hx * grid.hy * grid.hz))

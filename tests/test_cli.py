@@ -237,6 +237,17 @@ def test_precision_command(tmp_path):
     assert (out / "precision.csv").exists()
 
 
+@pytest.mark.parametrize("tag", ["ssor1.5", "ssorfoo"])
+def test_compare_malformed_ssor_tag_exit_2(tmp_path, capsys, tag):
+    out = tmp_path / "cmp"
+    code = main(["compare", "--config", "center-ball", "--n", "6", "--precond", tag,
+                 "-o", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"unknown preconditioner tag {tag!r}" in err
+    assert not out.exists()
+
+
 def test_bench_command(capsys):
     assert main(["bench", "--n", "8"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from etchomo import (
     run_convergence_study,
     solve_smooth,
 )
+from etchomo import pipeline
 from etchomo.pipeline import report_to_dict, write_history, write_report
 
 from conftest import constant_field, random_field
@@ -96,6 +98,22 @@ class TestHomogenize:
         with pytest.raises(ConfigError):
             homogenize(f, boundary_z, ref_mode="auto")
 
+    @pytest.mark.parametrize(
+        "tag", ["ssor1.5", "ssorfoo", "ssor:", "ssor:fast", "ssor:1.5:2", "fct:1"]
+    )
+    def test_rejects_malformed_precond_tags(self, boundary_z, tag):
+        with pytest.raises(ConfigError, match="^unknown preconditioner tag"):
+            homogenize(constant_field(2, 2, 2), boundary_z, precond=tag)
+        with pytest.raises(ConfigError, match="^unknown preconditioner tag"):
+            ExperimentPlan("center-ball", preconds=("fct", tag))
+
+    @pytest.mark.parametrize("tag, omega, want", [
+        ("ssor", 1.3, "ssor:1.3"), ("ssor:1.5", 1.0, "ssor:1.5"), ("ssor:0.8", 1.5, "ssor:0.8"),
+    ])
+    def test_ssor_tags(self, boundary_z, tag, omega, want):
+        rep = homogenize(gen_center_ball(6, 10.0), boundary_z, 1e-7, precond=tag, omega=omega)
+        assert rep.preconditioner == want and rep.converged
+
     @pytest.mark.parametrize("rtol", [1.0, 1.5, 0.0, -1e-9, float("nan")])
     def test_rejects_rtol_outside_unit_interval(self, boundary_z, rtol):
         with pytest.raises(ConfigError, match="rtol must lie in"):
@@ -127,6 +145,45 @@ class TestHomogenize:
                 tracemalloc.stop()
         assert reports["x"].kappa_eff == reports["z"].kappa_eff
         assert abs(peaks["x"] - peaks["z"]) <= 0.1 * f.kx.nbytes
+
+    def test_solve_smooth_builds_no_coordinate_grids(self):
+        # the source and the exact solution are sampled on broadcast
+        # coordinate vectors, not on three full cell-centre grids
+        solve_smooth(8)  # warm-up
+        tracemalloc.start()
+        try:
+            solve_smooth(32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (32**3 * 8) <= 9.6
+
+
+class TestBench:
+    def test_times_warm_applies_only(self, monkeypatch):
+        # stand-ins whose first call carries one-off work, like the first FCT
+        # apply that factors the blocks and imports scipy.fft
+        calls = {"precond": 0, "operator": 0}
+
+        def first_call_slow(name):
+            def kernel(*args):
+                calls[name] += 1
+                if calls[name] == 1:
+                    time.sleep(0.3)
+            return kernel
+
+        real_prepare = pipeline._prepare
+
+        def prepare(*args, **kwargs):
+            sys, _, stub = real_prepare(*args, **kwargs)
+            return sys, first_call_slow("precond"), stub
+
+        monkeypatch.setattr(pipeline, "_prepare", prepare)
+        monkeypatch.setattr(pipeline, "apply_operator", first_call_slow("operator"))
+        doc = pipeline.bench(4, rounds=2)
+        assert calls == {"precond": 3, "operator": 3}
+        assert doc["precond_apply_seconds"] < 0.1
+        assert doc["operator_apply_seconds"] < 0.1
 
 
 class TestExperimentPlan:

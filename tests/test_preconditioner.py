@@ -72,6 +72,29 @@ class TestCoefficientStats:
         assert s.kout_min == pytest.approx(sz[-1].min(), rel=1e-14)
         assert s.kout_max == pytest.approx(sz[-1].max(), rel=1e-14)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dims", [(5, 4, 3), (1, 4, 3), (4, 1, 3), (3, 4, 1), (1, 1, 1)])
+    def test_equals_fresh_scan_bit_for_bit(self, dims, dtype, boundary_z):
+        rng = np.random.default_rng(sum(dims))
+        sys = build_system(random_field(rng, *dims, contrast=1e3, dtype=dtype), boundary_z)
+
+        def scan(arr):
+            return (float(arr.min()), float(arr.max())) if arr.size else (1.0, 1.0)
+
+        fresh = CoefficientStats(*scan(sys.tx), *scan(sys.ty), *scan(sys.tz),
+                                 *scan(sys.t_in / 2.0), *scan(sys.t_out / 2.0))
+        got = coefficient_stats(sys)
+        for name in ("kx", "ky", "kz", "kin", "kout"):
+            for end in ("min", "max"):
+                a, b = getattr(got, f"{name}_{end}"), getattr(fresh, f"{name}_{end}")
+                assert type(a) is float and a.hex() == b.hex()
+
+    def test_stored_arrays_are_read_only(self, boundary_z):
+        sys = build_system(random_field(np.random.default_rng(13), 3, 3, 3), boundary_z)
+        for name in ("tx", "ty", "tz", "t_in", "t_out"):
+            with pytest.raises(ValueError):
+                getattr(sys, name)[0] = 1e9
+
     def test_mirror_invariance(self, boundary_z):
         rng = np.random.default_rng(12)
         f = random_field(rng, 4, 3, 5)

@@ -26,6 +26,7 @@ from etchomo import (
     scale_field,
     solve_reference_lp,
 )
+from etchomo import tpfa
 from etchomo.tpfa import assemble_sparse, operator_diagonal
 
 from conftest import constant_field, random_field
@@ -175,6 +176,43 @@ class TestStencilBits:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dims", [(4, 3, 1), (3, 5, 2), (1, 4, 5), (5, 1, 6), (4, 3, 7)])
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3, "all", "more"])
+    def test_slabs_equal_slice_stencil(self, dims, dtype, layers, boundary_z, monkeypatch):
+        # 0 asks for less than one layer, 2 and 3 leave a ragged last slab on
+        # most nz, "all" is one slab and "more" a slab larger than the grid
+        nx, ny, nz = dims
+        layers = {"all": nz, "more": nz + 4}.get(layers, layers)
+        layer_bytes = nx * ny * np.dtype(dtype).itemsize
+        monkeypatch.setattr(tpfa, "_SLAB_BYTES", max(1, layers * layer_bytes))
+        rng = np.random.default_rng(sum(dims) + layers)
+        sys = build_system(random_field(rng, *dims, dtype=dtype), boundary_z)
+        n = sys.grid.n_cells
+        signed_zeros = rng.standard_normal(n).astype(dtype)
+        signed_zeros[::3] = -0.0
+        signed_zeros[1::4] = 0.0
+        for u in (rng.standard_normal(n).astype(dtype), signed_zeros, np.full(n, -0.0, dtype)):
+            got, want = apply_operator(sys, u), slice_stencil(sys, u)
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_apply_over_slabs_keeps_no_full_flux_array(self, boundary_z):
+        rng = np.random.default_rng(29)
+        sys = build_system(random_field(rng, 64, 64, 64), boundary_z)
+        u = rng.standard_normal(sys.grid.n_cells)
+        assert tpfa._SLAB_BYTES < u.nbytes // 4  # several slabs at this size
+        apply_operator(sys, u)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            apply_operator(sys, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / u.nbytes <= 1.25
+
     def test_apply_allocates_out_and_one_flux_array(self, boundary_z):
         rng = np.random.default_rng(28)
         sys = build_system(random_field(rng, 32, 32, 32), boundary_z)
@@ -244,6 +282,17 @@ class TestSource:
         b = build_rhs(sys)
         b2 = add_source(sys, b, lambda x, y, z: np.ones_like(x))
         assert np.allclose(b2 - b, 1.0)
+
+    def test_samplers_may_ignore_coordinates(self, boundary_z):
+        # samplers get broadcast coordinate vectors; what they return is
+        # spread over the grid, as if sampled on full cell-centre grids
+        sys = build_system(constant_field(4, 3, 5), boundary_z)
+        b = build_rhs(sys)
+        X, Y, Z = sys.grid.cell_centers()
+        for source in (lambda x, y, z: np.sin(x) * y + np.exp(z), lambda x, y, z: 2.0 * z,
+                       lambda x, y, z: np.cos(x), lambda x, y, z: 1.5):
+            want = b + np.broadcast_to(source(X, Y, Z), X.shape).reshape(-1)
+            assert np.array_equal(add_source(sys, b, source), want)
 
 
 class TestDenseAssembly:
@@ -328,6 +377,12 @@ class TestL2Error:
         X, Y, Z = g.cell_centers()
         p = (X + 2 * Y - Z).reshape(-1)
         assert l2_error_midpoint(g, p, lambda x, y, z: x + 2 * y - z) == 0.0
+
+    def test_samplers_may_ignore_coordinates(self):
+        g = GridSpec(4, 3, 5)
+        X, Y, Z = g.cell_centers()
+        assert l2_error_midpoint(g, Z.reshape(-1), lambda x, y, z: z) == 0.0
+        assert l2_error_midpoint(g, (X * Y).reshape(-1), lambda x, y, z: x * y) == 0.0
 
     def test_constant_offset(self):
         g = GridSpec(5, 5, 5)
