@@ -140,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=8, help="cells per period")
     p.add_argument("--periods", type=_positive_int, default=8)
     p.add_argument("-o", dest="output", required=True, help="output directory")
+    p.set_defaults(config="channels")
 
     p = sub.add_parser("precision", help="single-vs-double study")
     _add_generator_flags(p)
@@ -228,18 +229,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_channels(args) -> int:
-    rows = pipeline.channels_study(
-        args.psi or [1.0, 2.0, 3.0],
-        ref_modes=("opt", "one"),
-        cells_per_period=args.n,
-        periods=args.periods,
-        rtol=args.rtol,
-        p_in=args.p_in,
-        p_out=args.p_out,
-        precision=args.precision,
-        max_iter=args.max_iter,
-        out_dir=Path(args.output),
-    )
+    params = {"cells_per_period": args.n, "periods": args.periods,
+              "psi_values": args.psi or [1.0, 2.0, 3.0]}
+    rows = pipeline.channels_study(_plan(args, params))
     for row in rows:
         print(row)
     return 0

@@ -19,7 +19,8 @@ class PcgBreakdownError(RuntimeError):
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve: iteration history plus pipeline metadata."""
+    """Outcome of one solve: iteration history plus pipeline metadata. `pcg`
+    leaves `precision` and `preconditioner` None; the pipeline fills them in."""
 
     iterations: int
     converged: bool
@@ -27,8 +28,8 @@ class SolveReport:
     kappa_eff: float | None = None
     prep_seconds: float = 0.0
     exec_seconds: float = 0.0
-    precision: str = "f64"
-    preconditioner: str = "fct"
+    precision: str | None = None
+    preconditioner: str | None = None
     ref_params: ReferenceParams | None = None
     l2_error: float | None = None
 

@@ -9,6 +9,11 @@ times the operator and the preconditioner that `_prepare` built. The permuted
 or cast copy of the field lives only inside `_prepare`, so it is freed before
 the solve starts.
 
+The four studies each take an `ExperimentPlan`, build every field through
+`make_field` and solve every run through `_run`, which forms the boundary
+from the plan and calls `homogenize`. Each CSV table takes its header from
+the keys of its first row.
+
 Axis handling works by physically permuting the voxel data so the requested
 Dirichlet direction becomes the canonical z; the discretization and the
 preconditioner never change orientation. Every driver emits deterministic
@@ -312,16 +317,17 @@ def write_report(path, doc: dict) -> None:
 
 
 def write_history(path, residuals) -> None:
-    rows = [{"iter": i, "relres": res} for i, res in enumerate(residuals)]
-    _write_rows(path, ["iter", "relres"], rows)
+    _write_rows(path, [{"iter": i, "relres": res} for i, res in enumerate(residuals)])
 
 
-def _write_rows(path, header: list, rows: list) -> None:
+def _write_rows(path, rows: list) -> None:
+    """CSV table whose header is the first row's keys; None is an empty cell."""
+    header = list(rows[0])
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = ["" if row.get(key) is None else repr(row[key]) for key in header]
+            cells = ["" if row[key] is None else repr(row[key]) for key in header]
             fh.write(",".join(cells) + "\n")
 
 
@@ -329,22 +335,27 @@ def _write_rows(path, header: list, rows: list) -> None:
 # experiment drivers
 # ----------------------------------------------------------------------------
 
+def _run(plan: ExperimentPlan, field: OrthotropicField, **settings) -> SolveReport:
+    """One study solve: `homogenize` on the plan's boundary and settings, with
+    the study's own `settings` (rtol, precond, ref_mode, precision) on top."""
+    kwargs = dict(rtol=plan.rtols[0], precond="fct", ref_mode=plan.ref_mode,
+                  precision=plan.precision, omega=plan.omega, max_iter=plan.max_iter)
+    kwargs.update(settings)
+    return homogenize(field, BoundaryConfig(plan.axis, plan.p_in, plan.p_out), **kwargs)
+
+
 def run_convergence_study(plan: ExperimentPlan) -> list:
     """Mesh sweep: per-resolution error (smooth case) or effective
     conductivity (inclusion cases), with iteration counts and timings."""
     if plan.generator not in ("smooth", "center-ball"):
         raise ConfigError("convergence study supports smooth or center-ball")
     n_values = plan.params.get("n_values") or [plan.params.get("n", 32)]
-    rtol = plan.rtols[0]
     rows = []
     for n in n_values:
         if plan.generator == "smooth":
-            rep = solve_smooth(n, rtol, plan.ref_mode, plan.precision, plan.max_iter)
+            rep = solve_smooth(n, plan.rtols[0], plan.ref_mode, plan.precision, plan.max_iter)
         else:
-            field = gen_center_ball(n, plan.params.get("kappa_inc", 10.0))
-            boundary = BoundaryConfig(plan.axis, plan.p_in, plan.p_out)
-            rep = homogenize(field, boundary, rtol, "fct", plan.ref_mode,
-                             plan.precision, max_iter=plan.max_iter)
+            rep = _run(plan, make_field(plan.generator, {**plan.params, "n": n}))
         rows.append(
             {
                 "n": n,
@@ -357,9 +368,7 @@ def run_convergence_study(plan: ExperimentPlan) -> list:
             }
         )
     if plan.out_dir is not None:
-        header = ["n", "dof", "l2_error", "kappa_eff", "iterations",
-                  "prep_seconds", "exec_seconds"]
-        _write_rows(plan.out_dir / "convergence.csv", header, rows)
+        _write_rows(plan.out_dir / "convergence.csv", rows)
     return rows
 
 
@@ -367,15 +376,9 @@ def compare_preconditioners(plan: ExperimentPlan) -> dict:
     """Residual histories for each requested preconditioner on one
     configuration, aligned for plotting; max_iter pinned by the plan."""
     field = make_field(plan.generator, plan.params)
-    boundary = BoundaryConfig(plan.axis, plan.p_in, plan.p_out)
-    rtol = plan.rtols[0]
     out = {}
     for tag in plan.preconds:
-        rep = homogenize(
-            field, boundary, rtol, tag, plan.ref_mode, plan.precision,
-            plan.omega, plan.max_iter,
-        )
-        out[tag] = rep
+        rep = out[tag] = _run(plan, field, precond=tag)
         if plan.out_dir is not None:
             stem = tag.replace(":", "_w")
             write_history(plan.out_dir / f"history_{stem}.csv", rep.relative_residuals)
@@ -387,15 +390,12 @@ def precision_study(plan: ExperimentPlan) -> list:
     table, the single-precision sweep and the loosest double run are reported
     as relative differences against it."""
     field = make_field(plan.generator, plan.params)
-    boundary = BoundaryConfig(plan.axis, plan.p_in, plan.p_out)
-    baseline_rtol = 1e-9
     # the tight f64 run comes first and anchors rel_diff (0.0 on its own row)
-    sweep = ([("f64", baseline_rtol)] + [("f32", rt) for rt in plan.rtols]
+    sweep = ([("f64", 1e-9)] + [("f32", rt) for rt in plan.rtols]
              + [("f64", max(plan.rtols))])
     rows = []
     for precision, rt in sweep:
-        rep = homogenize(field, boundary, rt, "fct", plan.ref_mode, precision,
-                         max_iter=plan.max_iter)
+        rep = _run(plan, field, rtol=rt, precision=precision)
         if not rows:
             base = rep
         rows.append(
@@ -410,32 +410,21 @@ def precision_study(plan: ExperimentPlan) -> list:
             }
         )
     if plan.out_dir is not None:
-        header = ["precision", "rtol", "kappa_eff", "rel_diff", "iterations",
-                  "converged", "exec_seconds"]
-        _write_rows(plan.out_dir / "precision.csv", header, rows)
+        _write_rows(plan.out_dir / "precision.csv", rows)
     return rows
 
 
-def channels_study(
-    psis,
-    ref_modes=("opt", "one"),
-    cells_per_period: int = 8,
-    periods: int = 8,
-    rtol: float = 1e-7,
-    p_in: float = 1.0,
-    p_out: float = 0.0,
-    precision: str = "f64",
-    max_iter: int = 1024,
-    out_dir=None,
-) -> list:
-    """Anisotropy sweep over the channel tiling comparing reference-parameter
-    choices; emits one history per (psi, mode) plus a summary table."""
+def channels_study(plan: ExperimentPlan) -> list:
+    """Anisotropy sweep over the channel tiling, one field per value of
+    `params["psi_values"]`, comparing the two reference-parameter choices;
+    emits one history per (psi, mode) plus a summary table."""
+    if plan.generator != "channels":
+        raise ConfigError("channels study needs the channels generator")
     rows = []
-    for psi in psis:
-        field = gen_channels(cells_per_period, periods, psi)
-        for mode in ref_modes:
-            rep = homogenize(field, BoundaryConfig(Axis.Z, p_in, p_out), rtol, "fct",
-                             mode, precision, max_iter=max_iter)
+    for psi in plan.params.get("psi_values") or [plan.params.get("psi", 1.0)]:
+        field = make_field(plan.generator, {**plan.params, "psi": psi})
+        for mode in ("opt", "one"):
+            rep = _run(plan, field, ref_mode=mode)
             rows.append(
                 {
                     "psi": psi,
@@ -446,13 +435,11 @@ def channels_study(
                     "exec_seconds": rep.exec_seconds,
                 }
             )
-            if out_dir is not None:
-                path = Path(out_dir) / f"history_psi{psi:g}_{mode}.csv"
+            if plan.out_dir is not None:
+                path = plan.out_dir / f"history_psi{psi:g}_{mode}.csv"
                 write_history(path, rep.relative_residuals)
-    if out_dir is not None:
-        header = ["psi", "ref_mode", "iterations", "converged", "kappa_eff",
-                  "exec_seconds"]
-        _write_rows(Path(out_dir) / "channels.csv", header, rows)
+    if plan.out_dir is not None:
+        _write_rows(plan.out_dir / "channels.csv", rows)
     return rows
 
 

@@ -132,37 +132,25 @@ def solve_reference_lp(stats: CoefficientStats) -> ReferenceParams:
     return ReferenceParams(refs["x"], refs["y"], refs["z"], refs["in"], refs["out"], lo, hi)
 
 
-def ones_reference(stats: CoefficientStats | None = None) -> ReferenceParams:
-    """All-ones reference constants; bounds are derived from the statistics
-    when available."""
-    refs = {d: 1.0 for d in ("x", "y", "z", "in", "out")}
-    if stats is None:
-        return ReferenceParams(1.0, 1.0, 1.0, 1.0, 1.0)
-    lo, hi = _bounds(stats, refs)
+def ones_reference(stats: CoefficientStats) -> ReferenceParams:
+    """All-ones reference constants with the bounds they induce on `stats`."""
+    lo, hi = _bounds(stats, dict.fromkeys(("x", "y", "z", "in", "out"), 1.0))
     return ReferenceParams(1.0, 1.0, 1.0, 1.0, 1.0, lo, hi)
 
 
-def reference_system(
-    grid: GridSpec,
-    refs: ReferenceParams,
-    boundary: BoundaryConfig | None = None,
-    dtype=np.float64,
-) -> DiscreteSystem:
-    """The reference operator realized as a stencil system: constant interior
-    transmissibilities and 2*k_ref Dirichlet terms. Lets every stencil oracle
-    apply to the preconditioner."""
-    if boundary is None:
-        boundary = BoundaryConfig(Axis.Z, 1.0, 0.0)
+def reference_system(grid: GridSpec, refs: ReferenceParams) -> DiscreteSystem:
+    """The reference operator realized as a stencil system on the canonical z
+    problem in f64: constant interior transmissibilities and 2*k_ref
+    Dirichlet terms. Lets every stencil oracle apply to the preconditioner."""
     nx, ny, nz = grid.nx, grid.ny, grid.nz
-    dt = np.dtype(dtype)
     return DiscreteSystem(
         grid,
-        np.full((nx - 1) * ny * nz, refs.kx_ref, dtype=dt),
-        np.full(nx * (ny - 1) * nz, refs.ky_ref, dtype=dt),
-        np.full(nx * ny * (nz - 1), refs.kz_ref, dtype=dt),
-        np.full(nx * ny, 2.0 * refs.kin_ref, dtype=dt),
-        np.full(nx * ny, 2.0 * refs.kout_ref, dtype=dt),
-        boundary,
+        np.full((nx - 1) * ny * nz, refs.kx_ref, dtype=np.float64),
+        np.full(nx * (ny - 1) * nz, refs.ky_ref, dtype=np.float64),
+        np.full(nx * ny * (nz - 1), refs.kz_ref, dtype=np.float64),
+        np.full(nx * ny, 2.0 * refs.kin_ref, dtype=np.float64),
+        np.full(nx * ny, 2.0 * refs.kout_ref, dtype=np.float64),
+        BoundaryConfig(Axis.Z, 1.0, 0.0),
     )
 
 

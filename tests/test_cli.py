@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import etchomo.preconditioner
-from etchomo import gen_center_ball, write_vox
+from etchomo import Axis, BoundaryConfig, gen_center_ball, gen_channels, homogenize, write_vox
 from etchomo.cli import build_parser, main
 
 SPEC_FLAGS = [
@@ -225,6 +225,19 @@ def test_channels_command(tmp_path):
     ])
     assert code == 0
     assert (out / "channels.csv").exists()
+
+
+def test_channels_command_honours_axis(tmp_path):
+    out = tmp_path / "chan"
+    code = main([
+        "channels", "--psi", "1", "--n", "8", "--periods", "1",
+        "--rtol", "1e-5", "--axis", "x", "-o", str(out),
+    ])
+    assert code == 0
+    first_row = (out / "channels.csv").read_text().splitlines()[1].split(",")
+    want = homogenize(gen_channels(8, 1, 1.0), BoundaryConfig(Axis.X, 1, 0), 1e-5, "fct", "opt")
+    assert first_row[1] == "'opt'"
+    assert float(first_row[4]) == want.kappa_eff
 
 
 def test_precision_command(tmp_path):

@@ -171,6 +171,19 @@ class TestPcg:
         assert rep.converged
         assert np.all(np.isfinite(p))
 
+    def test_direct_call_names_no_preconditioner_or_precision(self, boundary_z):
+        from etchomo import gen_center_ball, homogenize
+        from etchomo.preconditioner import JacobiPreconditioner
+
+        f = gen_center_ball(8, 10.0).astype(np.float32)
+        sys = build_system(f, boundary_z)
+        _, rep = pcg(lambda u: apply_operator(sys, u), JacobiPreconditioner(sys),
+                     build_rhs(sys), 1e-5)
+        assert rep.converged
+        assert (rep.preconditioner, rep.precision) == (None, None)
+        rep = homogenize(f, boundary_z, 1e-5, "jacobi", precision="f32")
+        assert (rep.preconditioner, rep.precision) == ("jacobi", "f32")
+
     def test_rejects_bad_controls(self):
         with pytest.raises(ValueError):
             pcg(lambda u: u, identity_apply, np.ones(2), -1.0)

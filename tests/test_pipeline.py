@@ -16,6 +16,7 @@ from etchomo import (
     channels_study,
     compare_preconditioners,
     gen_center_ball,
+    gen_channels,
     homogenize,
     precision_study,
     run_convergence_study,
@@ -266,12 +267,65 @@ class TestStudies:
         assert (tmp_path / "precision.csv").exists()
 
     def test_channels_rows(self, tmp_path):
-        rows = channels_study(
-            [1.0], cells_per_period=8, periods=1, rtol=1e-6, out_dir=tmp_path
+        plan = ExperimentPlan(
+            "channels",
+            {"psi_values": [1.0], "cells_per_period": 8, "periods": 1},
+            rtols=(1e-6,),
+            out_dir=tmp_path,
         )
+        rows = channels_study(plan)
         assert {r["ref_mode"] for r in rows} == {"opt", "one"}
         assert (tmp_path / "history_psi1_opt.csv").exists()
         assert (tmp_path / "channels.csv").exists()
+
+    def test_channels_csv_header_and_history_names(self, tmp_path):
+        plan = ExperimentPlan(
+            "channels",
+            {"psi_values": [1.0, 2.5], "cells_per_period": 8, "periods": 1},
+            rtols=(1e-5,),
+            out_dir=tmp_path,
+        )
+        rows = channels_study(plan)
+        assert [(r["psi"], r["ref_mode"]) for r in rows] == [
+            (1.0, "opt"), (1.0, "one"), (2.5, "opt"), (2.5, "one")
+        ]
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "channels.csv", "history_psi1_opt.csv", "history_psi1_one.csv",
+            "history_psi2.5_opt.csv", "history_psi2.5_one.csv",
+        }
+        header = (tmp_path / "channels.csv").read_text().splitlines()[0]
+        assert header == "psi,ref_mode,iterations,converged,kappa_eff,exec_seconds"
+
+    def test_channels_study_follows_the_plan_axis(self):
+        plan = ExperimentPlan(
+            "channels", {"psi": 1.0, "cells_per_period": 8, "periods": 1},
+            axis=Axis.X, rtols=(1e-6,),
+        )
+        opt = channels_study(plan)[0]
+        want = homogenize(gen_channels(8, 1, 1.0), BoundaryConfig(Axis.X, 1.0, 0.0), 1e-6)
+        assert (opt["ref_mode"], opt["kappa_eff"]) == ("opt", want.kappa_eff)
+
+    def test_channels_study_needs_the_channels_generator(self):
+        with pytest.raises(ConfigError):
+            channels_study(ExperimentPlan("center-ball", {"n": 6}))
+
+    def test_precision_csv_header(self, tmp_path):
+        plan = ExperimentPlan(
+            "center-ball", {"n": 6, "kappa_inc": 10.0}, rtols=(1e-5,), out_dir=tmp_path
+        )
+        precision_study(plan)
+        header = (tmp_path / "precision.csv").read_text().splitlines()[0]
+        assert header == "precision,rtol,kappa_eff,rel_diff,iterations,converged,exec_seconds"
+
+    def test_compare_history_names(self, tmp_path):
+        plan = ExperimentPlan(
+            "center-ball", {"n": 6, "kappa_inc": 10.0}, rtols=(1e-5,),
+            preconds=("fct", "ssor:1.5", "jacobi"), out_dir=tmp_path,
+        )
+        compare_preconditioners(plan)
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "history_fct.csv", "history_ssor_w1.5.csv", "history_jacobi.csv"
+        }
 
 
 class TestReportSerialization:
@@ -306,6 +360,10 @@ class TestReportSerialization:
         doc = report_to_dict(rep, {"generator": "smooth", "n": 8},
                              GridSpec(8, 8, 8), BoundaryConfig(Axis.Z, 1.0, 0.0), 1e-9)
         assert "l2_error" in doc and doc["l2_error"] > 0.0
+
+    def test_rows_take_the_header_from_the_first_row(self, tmp_path):
+        pipeline._write_rows(tmp_path / "t.csv", [{"b": 1, "a": None}, {"b": 2.5, "a": "x"}])
+        assert (tmp_path / "t.csv").read_text() == "b,a\n1,\n2.5,'x'\n"
 
     def test_history_rows_include_initial(self, tmp_path):
         write_history(tmp_path / "h.csv", [1.0, 0.5, 0.1])

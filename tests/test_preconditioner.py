@@ -185,10 +185,15 @@ class TestReferenceLp:
         assert b.objective == pytest.approx(a.objective, rel=1e-12)
 
     def test_ones_reference(self):
-        refs = ones_reference()
-        assert (refs.kx_ref, refs.ky_ref, refs.kz_ref, refs.kin_ref, refs.kout_ref) == (1.0,) * 5
         homo = ones_reference(CoefficientStats(*(1.0,) * 10))
+        assert (homo.kx_ref, homo.ky_ref, homo.kz_ref, homo.kin_ref, homo.kout_ref) == (1.0,) * 5
         assert homo.objective == 1.0
+
+    def test_ones_reference_bounds_come_from_statistics(self):
+        spread = ones_reference(CoefficientStats(0.5, 2.0, 1.0, 1.0, 1.0, 4.0, 1.0, 1.0, 1.0, 1.0))
+        assert (spread.lambda_lo, spread.lambda_hi) == (0.5, 4.0)
+        with pytest.raises(TypeError):
+            ones_reference()
 
 
 class TestTridiag:
