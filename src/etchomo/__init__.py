@@ -18,11 +18,10 @@ from .grid import (
     gen_channels,
     gen_random_balls,
     gen_smooth_problem,
-    linear_index,
     read_vox,
     write_vox,
 )
-from .krylov import PcgBreakdownError, SolveReport, condition_estimate, dense_solve, pcg
+from .krylov import PcgBreakdownError, SolveReport, pcg
 from .pipeline import (
     ExperimentPlan,
     axis_permute,
@@ -40,7 +39,6 @@ from .preconditioner import (
     coefficient_stats,
     identity_apply,
     ones_reference,
-    reference_system,
     solve_reference_lp,
     thomas_solve_batch,
 )
@@ -48,19 +46,12 @@ from .tpfa import (
     DiscreteSystem,
     add_source,
     apply_operator,
-    assemble_dense,
     build_rhs,
     build_system,
     effective_conductivity,
     l2_error_midpoint,
     reconstruct_boundary_flux,
-    scale_field,
 )
-from .transforms import (
-    dct1d_ref_backward,
-    dct1d_ref_forward,
-    fct_backward_batch,
-    fct_forward_batch,
-)
+from .transforms import fct_backward_batch, fct_forward_batch
 
 __version__ = "0.1.0"

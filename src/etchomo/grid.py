@@ -82,15 +82,11 @@ class GridSpec:
     def n_cells(self) -> int:
         return self.nx * self.ny * self.nz
 
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coordinate arrays (X, Y, Z), each shaped (nz, ny, nx)."""
-        return tuple(np.broadcast_to(c, self.shape).copy() for c in _center_vectors(self))
-
 
 def _center_vectors(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cell-centre coordinates (x, y, z) as vectors shaped (1, 1, nx),
-    (1, ny, 1) and (nz, 1, 1): they broadcast to the values of
-    `GridSpec.cell_centers` without three full grids."""
+    (1, ny, 1) and (nz, 1, 1): they broadcast to the coordinates of every
+    cell without three full grids."""
     cx = (np.arange(grid.nx) + 0.5) * grid.hx
     cy = (np.arange(grid.ny) + 0.5) * grid.hy
     cz = (np.arange(grid.nz) + 0.5) * grid.hz
@@ -103,15 +99,6 @@ def _positive_finite_extremes(a: np.ndarray):
     # min/max need no temporary arrays; a NaN makes both comparisons false
     lo, hi = a.min(), a.max()
     return (lo, hi) if lo > 0 and hi < np.inf else None
-
-
-def linear_index(i: int, j: int, k: int, grid: GridSpec) -> int:
-    """Flat offset of cell (i, j, k) in the x-fastest layout."""
-    if not (0 <= i < grid.nx and 0 <= j < grid.ny and 0 <= k < grid.nz):
-        raise IndexError(
-            f"cell ({i}, {j}, {k}) outside grid {grid.nx}x{grid.ny}x{grid.nz}"
-        )
-    return (k * grid.ny + j) * grid.nx + i
 
 
 def map_shared(fn, arrays) -> list:
@@ -232,11 +219,9 @@ def gen_smooth_problem(n: int):
     if n < 2:
         raise ConfigError("smooth problem needs n >= 2")
     grid = GridSpec(n, n, n)
-    X, Y, Z = grid.cell_centers()
-    kx = np.cos(np.pi * Y) + 2.0
-    ky = 2.0 * np.exp(Z)
-    kz = 3.0 * np.cos(np.pi * X) + 4.0
-    field = OrthotropicField(grid, kx, ky, kz)
+    x, y, z = _center_vectors(grid)
+    k = (np.cos(np.pi * y) + 2.0, 2.0 * np.exp(z), 3.0 * np.cos(np.pi * x) + 4.0)
+    field = OrthotropicField(grid, *(np.broadcast_to(c, grid.shape) for c in k))
 
     def exact(x, y, z):
         return np.cos(np.pi * x) * np.cos(np.pi * y) * np.exp(z)
@@ -260,8 +245,8 @@ def gen_center_ball(n: int, kappa_inc: float) -> OrthotropicField:
     if kappa_inc <= 0.0:
         raise ConfigError("kappa_inc must be positive")
     grid = GridSpec(n, n, n)
-    X, Y, Z = grid.cell_centers()
-    inside = (X - 0.5) ** 2 + (Y - 0.5) ** 2 + (Z - 0.5) ** 2 <= 0.25**2
+    x, y, z = _center_vectors(grid)
+    inside = (x - 0.5) ** 2 + (y - 0.5) ** 2 + (z - 0.5) ** 2 <= 0.25**2
     k = np.where(inside, float(kappa_inc), 1.0)
     return OrthotropicField(grid, k, k, k)
 
@@ -292,12 +277,12 @@ def gen_random_balls(
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     rng = np.random.default_rng(np.uint64(seed))
     grid = GridSpec(n, n, n)
-    X, Y, Z = grid.cell_centers()
+    x, y, z = _center_vectors(grid)
     inside = np.zeros(grid.shape, dtype=bool)
     for _ in range(count):
         cx, cy, cz = rng.random(3)
         r = r_min + (r_max - r_min) * rng.random()
-        inside |= (X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2 <= r * r
+        inside |= (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2 <= r * r
     k = np.where(inside, float(kappa_inc), 1.0)
     return OrthotropicField(grid, k, k, k)
 

@@ -1,4 +1,6 @@
-"""Preconditioned conjugate-gradient driver and dense verification oracles."""
+"""Preconditioned conjugate-gradient driver and its solve report.
+
+The dense Cholesky oracle that checks it lives in `oracles`."""
 
 from __future__ import annotations
 
@@ -108,37 +110,3 @@ def pcg(
         rho = rho_next
     return p, SolveReport(iteration, history[-1] <= rtol, history)
 
-
-def dense_solve(mat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct Cholesky solve of a dense SPD system (oracle path)."""
-    import scipy.linalg as sla
-
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.shape[0] > 4096:
-        raise ValueError("dense solves capped at 4096 unknowns")
-    try:
-        factor = sla.cho_factor(mat)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"matrix is not positive definite: {exc}") from exc
-    return sla.cho_solve(factor, np.asarray(b, dtype=np.float64))
-
-
-def condition_estimate(
-    mat: np.ndarray, mat_ref: np.ndarray | None = None
-) -> tuple[float, float, float]:
-    """Extreme eigenvalues and condition number of a dense SPD matrix, or of
-    the pencil (mat, mat_ref) when a reference matrix is supplied."""
-    import scipy.linalg as sla
-
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.shape[0] > 4096:
-        raise ValueError("eigen estimates capped at 4096 unknowns")
-    if mat_ref is None:
-        vals = sla.eigh(mat, eigvals_only=True)
-    else:
-        try:
-            vals = sla.eigh(mat, np.asarray(mat_ref, dtype=np.float64), eigvals_only=True)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"reference matrix is singular or indefinite: {exc}") from exc
-    lam_min, lam_max = float(vals[0]), float(vals[-1])
-    return lam_min, lam_max, lam_max / lam_min

@@ -1,9 +1,12 @@
-"""Self-contained verification suites behind the `oracle` CLI command.
+"""Slow reference paths and the self-contained verification suites behind
+the `oracle` CLI command.
 
 Each suite checks the fast path against an independent slow path: direct
-cosine summation for the transforms, dense factorization for the solver,
-stencil application of the reference system for the preconditioner, and a
-general-purpose LP solver for the closed-form reference parameters.
+cosine summation for the transforms, dense assembly and Cholesky for the
+solver, stencil application of the reference system for the preconditioner,
+and a general-purpose LP solver for the closed-form reference parameters.
+The slow paths live here, apart from the solve modules, and the tests reuse
+them.
 """
 
 from __future__ import annotations
@@ -12,17 +15,83 @@ import math
 
 import numpy as np
 
-from .grid import Axis, BoundaryConfig, GridSpec, OrthotropicField
-from .krylov import dense_solve
+from .grid import Axis, BoundaryConfig, ConfigError, GridSpec, OrthotropicField
 from .pipeline import _prepare, _solve
 from .preconditioner import (
     CoefficientStats,
     FctPreconditioner,
-    reference_system,
+    ReferenceParams,
     solve_reference_lp,
 )
-from .tpfa import apply_operator, assemble_dense, build_rhs
-from .transforms import dct1d_ref_forward, fct_backward_batch, fct_forward_batch
+from .tpfa import DiscreteSystem, apply_operator, build_rhs
+from .transforms import fct_backward_batch, fct_forward_batch
+
+DENSE_GUARD = 4096
+
+
+def dct1d_ref_forward(u: np.ndarray) -> np.ndarray:
+    """Direct-summation forward transform (oracle; O(N^2))."""
+    u = np.asarray(u, dtype=np.float64)
+    n = u.size
+    i = np.arange(n)
+    table = np.cos(np.pi * (2 * i[None, :] + 1) * i[:, None] / (2 * n))
+    return table @ u
+
+
+def assemble_dense(sys: DiscreteSystem) -> np.ndarray:
+    """Explicit symmetric matrix of the stencil; small-grid oracle only."""
+    g = sys.grid
+    n = g.n_cells
+    if n > DENSE_GUARD:
+        raise ValueError(f"dense assembly capped at {DENSE_GUARD} cells, got {n}")
+    idx = np.arange(n).reshape(g.shape)
+    mat = np.zeros((n, n))
+
+    def couple(left, right, t):
+        left, right, t = left.ravel(), right.ravel(), t.ravel()
+        np.add.at(mat, (left, left), t)
+        np.add.at(mat, (right, right), t)
+        np.add.at(mat, (left, right), -t)
+        np.add.at(mat, (right, left), -t)
+
+    couple(idx[:, :, :-1], idx[:, :, 1:], sys.faces_x())
+    couple(idx[:, 1:, :], idx[:, :-1, :], sys.faces_y())
+    couple(idx[1:, :, :], idx[:-1, :, :], sys.faces_z())
+    diag_bnd = np.zeros(n)
+    np.add.at(diag_bnd, idx[0].ravel(), sys.t_in)
+    np.add.at(diag_bnd, idx[-1].ravel(), sys.t_out)
+    mat[np.arange(n), np.arange(n)] += diag_bnd
+    return mat
+
+
+def dense_solve(mat: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Direct Cholesky solve of a dense SPD system (oracle path)."""
+    import scipy.linalg as sla
+
+    mat = np.asarray(mat, dtype=np.float64)
+    if mat.shape[0] > 4096:
+        raise ValueError("dense solves capped at 4096 unknowns")
+    try:
+        factor = sla.cho_factor(mat)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"matrix is not positive definite: {exc}") from exc
+    return sla.cho_solve(factor, np.asarray(b, dtype=np.float64))
+
+
+def reference_system(grid: GridSpec, refs: ReferenceParams) -> DiscreteSystem:
+    """The reference operator realized as a stencil system on the canonical z
+    problem in f64: constant interior transmissibilities and 2*k_ref
+    Dirichlet terms. Lets every stencil oracle apply to the preconditioner."""
+    nx, ny, nz = grid.nx, grid.ny, grid.nz
+    return DiscreteSystem(
+        grid,
+        np.full((nx - 1) * ny * nz, refs.kx_ref, dtype=np.float64),
+        np.full(nx * (ny - 1) * nz, refs.ky_ref, dtype=np.float64),
+        np.full(nx * ny * (nz - 1), refs.kz_ref, dtype=np.float64),
+        np.full(nx * ny, 2.0 * refs.kin_ref, dtype=np.float64),
+        np.full(nx * ny, 2.0 * refs.kout_ref, dtype=np.float64),
+        BoundaryConfig(Axis.Z, 1.0, 0.0),
+    )
 
 
 def _random_field(rng, nx, ny, nz, contrast=100.0) -> OrthotropicField:
@@ -119,6 +188,12 @@ def check_reference_lp(rng) -> tuple[bool, str]:
 
 
 def run_all(max_n: int = 5, seed: int = 0) -> list:
+    # the dense-solver suite draws each dimension from [2, max_n]
+    if max_n < 2 or max_n**3 > DENSE_GUARD:
+        raise ConfigError(
+            f"--max-n must lie in [2, 16], got {max_n}: the dense oracle draws "
+            f"each dimension from [2, max-n] and caps a problem at {DENSE_GUARD} cells"
+        )
     rng = np.random.default_rng(seed)
     return [
         ("transform-vs-direct-sum", *check_transforms(max_n, rng)),

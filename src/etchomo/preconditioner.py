@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BoundaryConfig, ConfigError, GridSpec, Axis
+from .grid import ConfigError, GridSpec
 from .tpfa import DiscreteSystem, operator_diagonal, assemble_sparse
 from .transforms import fct_backward_batch, fct_forward_batch
 
@@ -138,48 +138,28 @@ def ones_reference(stats: CoefficientStats) -> ReferenceParams:
     return ReferenceParams(1.0, 1.0, 1.0, 1.0, 1.0, lo, hi)
 
 
-def reference_system(grid: GridSpec, refs: ReferenceParams) -> DiscreteSystem:
-    """The reference operator realized as a stencil system on the canonical z
-    problem in f64: constant interior transmissibilities and 2*k_ref
-    Dirichlet terms. Lets every stencil oracle apply to the preconditioner."""
-    nx, ny, nz = grid.nx, grid.ny, grid.nz
-    return DiscreteSystem(
-        grid,
-        np.full((nx - 1) * ny * nz, refs.kx_ref, dtype=np.float64),
-        np.full(nx * (ny - 1) * nz, refs.ky_ref, dtype=np.float64),
-        np.full(nx * ny * (nz - 1), refs.kz_ref, dtype=np.float64),
-        np.full(nx * ny, 2.0 * refs.kin_ref, dtype=np.float64),
-        np.full(nx * ny, 2.0 * refs.kout_ref, dtype=np.float64),
-        BoundaryConfig(Axis.Z, 1.0, 0.0),
-    )
-
-
 class TridiagFactors:
     """Shared data for the per-mode tridiagonal solves.
 
-    Stores the two eigen-weight tables 2*(1-cos(q*pi/N)), the z-chain
-    diagonal and the off-diagonal (O(nx+ny+nz) data), plus the elimination
-    factors of every block, computed on first use by `elimination`. With the
-    factors it keeps a list of their (ny, nx) plane views, one per layer, so
-    the sweeps of `thomas_solve_batch` index no array per layer. The views
-    share the factors' memory.
+    Stores the plane shift kx_ref*wx[q_x] + ky_ref*wy[q_y] of every mode,
+    with the eigen-weights w[q] = 2*(1-cos(q*pi/N)), the z-chain diagonal and
+    the off-diagonal, plus the elimination factors of every block, computed
+    on first use by `elimination`. With the factors it keeps a list of their
+    (ny, nx) plane views, one per layer, so the sweeps of
+    `thomas_solve_batch` index no array per layer. The views share the
+    factors' memory.
     """
 
-    __slots__ = ("grid", "refs", "dtype", "weights_x", "weights_y",
-                 "plane_shift", "z_diag", "off", "_upper", "_last_pivot",
-                 "_upper_planes")
+    __slots__ = ("grid", "dtype", "plane_shift", "z_diag", "off", "_upper",
+                 "_last_pivot", "_upper_planes")
 
     def __init__(self, grid: GridSpec, refs: ReferenceParams, dtype=np.float64):
         self.grid = grid
-        self.refs = refs
         self.dtype = np.dtype(dtype)
         nx, ny, nz = grid.nx, grid.ny, grid.nz
-        self.weights_x = 2.0 * (1.0 - np.cos(np.arange(nx) * np.pi / nx))
-        self.weights_y = 2.0 * (1.0 - np.cos(np.arange(ny) * np.pi / ny))
-        shift = (
-            self.weights_x[None, :] * refs.kx_ref
-            + self.weights_y[:, None] * refs.ky_ref
-        )
+        weights_x = 2.0 * (1.0 - np.cos(np.arange(nx) * np.pi / nx))
+        weights_y = 2.0 * (1.0 - np.cos(np.arange(ny) * np.pi / ny))
+        shift = weights_x[None, :] * refs.kx_ref + weights_y[:, None] * refs.ky_ref
         self.plane_shift = shift.astype(self.dtype)
         zd = np.full(nz, 2.0 * refs.kz_ref)
         if nz == 1:
@@ -223,15 +203,6 @@ class TridiagFactors:
             self._upper, self._last_pivot = upper, pivot
             self._upper_planes = list(upper)
         return self._upper, self._last_pivot
-
-    def dense_block(self, i: int, j: int) -> np.ndarray:
-        """Explicit (nz, nz) matrix of one transformed mode; test helper."""
-        nz = self.grid.nz
-        t = np.diag(self.z_diag.astype(np.float64).copy())
-        t += np.diag(np.full(nz - 1, float(self.off)), 1)
-        t += np.diag(np.full(nz - 1, float(self.off)), -1)
-        t += float(self.plane_shift[j, i]) * np.eye(nz)
-        return t
 
 
 def _check_pivot(pivot: np.ndarray, k: int) -> None:

@@ -27,21 +27,9 @@ from .grid import (
     _positive_finite_extremes,
 )
 
-DENSE_GUARD = 4096
-
 # bytes of one slab per array in `apply_operator`; a slab is never less than
 # one z-layer, and a grid smaller than one slab runs as one slab
 _SLAB_BYTES = 256 * 1024
-
-
-def scale_field(field: OrthotropicField):
-    """Per-cell scaled coefficients k/h^2, one (nz, ny, nx) array per axis."""
-    g = field.grid
-    dtype = field.dtype
-    sx = field.cube("kx") / dtype.type(g.hx) ** 2
-    sy = field.cube("ky") / dtype.type(g.hy) ** 2
-    sz = field.cube("kz") / dtype.type(g.hz) ** 2
-    return sx, sy, sz
 
 
 def _harmonic(inv_a: np.ndarray, inv_b: np.ndarray, h: float) -> np.ndarray:
@@ -264,32 +252,6 @@ def add_source(sys: DiscreteSystem, b: np.ndarray, source) -> np.ndarray:
     if not np.all(np.isfinite(samples)):
         raise ValueError("source sampler returned non-finite values")
     return (b.reshape(grid.shape) + np.broadcast_to(samples, grid.shape)).reshape(-1)
-
-
-def assemble_dense(sys: DiscreteSystem) -> np.ndarray:
-    """Explicit symmetric matrix of the stencil; small-grid oracle only."""
-    g = sys.grid
-    n = g.n_cells
-    if n > DENSE_GUARD:
-        raise ValueError(f"dense assembly capped at {DENSE_GUARD} cells, got {n}")
-    idx = np.arange(n).reshape(g.shape)
-    mat = np.zeros((n, n))
-
-    def couple(left, right, t):
-        left, right, t = left.ravel(), right.ravel(), t.ravel()
-        np.add.at(mat, (left, left), t)
-        np.add.at(mat, (right, right), t)
-        np.add.at(mat, (left, right), -t)
-        np.add.at(mat, (right, left), -t)
-
-    couple(idx[:, :, :-1], idx[:, :, 1:], sys.faces_x())
-    couple(idx[:, 1:, :], idx[:, :-1, :], sys.faces_y())
-    couple(idx[1:, :, :], idx[:-1, :, :], sys.faces_z())
-    diag_bnd = np.zeros(n)
-    np.add.at(diag_bnd, idx[0].ravel(), sys.t_in)
-    np.add.at(diag_bnd, idx[-1].ravel(), sys.t_out)
-    mat[np.arange(n), np.arange(n)] += diag_bnd
-    return mat
 
 
 def assemble_sparse(sys: DiscreteSystem):

@@ -1,9 +1,9 @@
 """Cosine transforms over the (x, y) planes of a slab.
 
-Two implementations live here: an O(N^2) direct-summation 1D reference pair
-(the test oracle), and the production batched 2D pair, which applies scipy's
-type-2 DCT (pocketfft, an FFT-based fast cosine transform after Makhoul,
-IEEE Trans. ASSP 28(1), 1980) to every k-slice of a (nz, ny, nx) slab.
+The batched 2D pair applies scipy's type-2 DCT (pocketfft, an FFT-based
+fast cosine transform after Makhoul, IEEE Trans. ASSP 28(1), 1980) to every
+k-slice of a (nz, ny, nx) slab. `oracles.dct1d_ref_forward` is the O(N^2)
+direct-summation check of the same convention.
 
 Conventions, fixed once for every consumer in the package:
 
@@ -23,25 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 _PLANE = (1, 2)
-
-
-def dct1d_ref_forward(u: np.ndarray) -> np.ndarray:
-    """Direct-summation forward transform (oracle; O(N^2))."""
-    u = np.asarray(u, dtype=np.float64)
-    n = u.size
-    i = np.arange(n)
-    table = np.cos(np.pi * (2 * i[None, :] + 1) * i[:, None] / (2 * n))
-    return table @ u
-
-
-def dct1d_ref_backward(uh: np.ndarray) -> np.ndarray:
-    """Direct-summation backward transform (oracle; O(N^2))."""
-    uh = np.asarray(uh, dtype=np.float64)
-    n = uh.size
-    i = np.arange(n)
-    weights = np.where(i == 0, 0.5, 1.0)
-    table = np.cos(np.pi * (2 * i[:, None] + 1) * i[None, :] / (2 * n))
-    return (2.0 / n) * (table @ (weights * uh))
 
 
 def fct_forward_batch(data: np.ndarray) -> np.ndarray:

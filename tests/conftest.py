@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from etchomo import Axis, BoundaryConfig, GridSpec, OrthotropicField
+from etchomo.grid import _center_vectors
 
 
 @pytest.fixture
@@ -20,3 +21,68 @@ def constant_field(nx, ny, nz, kx=1.0, ky=1.0, kz=1.0, lengths=(1.0, 1.0, 1.0)) 
     grid = GridSpec(nx, ny, nz, *lengths)
     n = grid.n_cells
     return OrthotropicField(grid, np.full(n, kx), np.full(n, ky), np.full(n, kz))
+
+
+def cell_centers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate arrays (X, Y, Z), each shaped (nz, ny, nx)."""
+    return tuple(np.broadcast_to(c, grid.shape).copy() for c in _center_vectors(grid))
+
+
+def linear_index(i: int, j: int, k: int, grid: GridSpec) -> int:
+    """Flat offset of cell (i, j, k) in the x-fastest layout."""
+    if not (0 <= i < grid.nx and 0 <= j < grid.ny and 0 <= k < grid.nz):
+        raise IndexError(
+            f"cell ({i}, {j}, {k}) outside grid {grid.nx}x{grid.ny}x{grid.nz}"
+        )
+    return (k * grid.ny + j) * grid.nx + i
+
+
+def scale_field(field: OrthotropicField):
+    """Per-cell scaled coefficients k/h^2, one (nz, ny, nx) array per axis."""
+    g = field.grid
+    dtype = field.dtype
+    sx = field.cube("kx") / dtype.type(g.hx) ** 2
+    sy = field.cube("ky") / dtype.type(g.hy) ** 2
+    sz = field.cube("kz") / dtype.type(g.hz) ** 2
+    return sx, sy, sz
+
+
+def dct1d_ref_backward(uh: np.ndarray) -> np.ndarray:
+    """Direct-summation backward transform (oracle; O(N^2))."""
+    uh = np.asarray(uh, dtype=np.float64)
+    n = uh.size
+    i = np.arange(n)
+    weights = np.where(i == 0, 0.5, 1.0)
+    table = np.cos(np.pi * (2 * i[:, None] + 1) * i[None, :] / (2 * n))
+    return (2.0 / n) * (table @ (weights * uh))
+
+
+def dense_block(factors, i: int, j: int) -> np.ndarray:
+    """Explicit (nz, nz) matrix of one transformed mode of a TridiagFactors."""
+    nz = factors.grid.nz
+    t = np.diag(factors.z_diag.astype(np.float64).copy())
+    t += np.diag(np.full(nz - 1, float(factors.off)), 1)
+    t += np.diag(np.full(nz - 1, float(factors.off)), -1)
+    t += float(factors.plane_shift[j, i]) * np.eye(nz)
+    return t
+
+
+def condition_estimate(
+    mat: np.ndarray, mat_ref: np.ndarray | None = None
+) -> tuple[float, float, float]:
+    """Extreme eigenvalues and condition number of a dense SPD matrix, or of
+    the pencil (mat, mat_ref) when a reference matrix is supplied."""
+    import scipy.linalg as sla
+
+    mat = np.asarray(mat, dtype=np.float64)
+    if mat.shape[0] > 4096:
+        raise ValueError("eigen estimates capped at 4096 unknowns")
+    if mat_ref is None:
+        vals = sla.eigh(mat, eigvals_only=True)
+    else:
+        try:
+            vals = sla.eigh(mat, np.asarray(mat_ref, dtype=np.float64), eigvals_only=True)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"reference matrix is singular or indefinite: {exc}") from exc
+    lam_min, lam_max = float(vals[0]), float(vals[-1])
+    return lam_min, lam_max, lam_max / lam_min

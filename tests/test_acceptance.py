@@ -18,12 +18,9 @@ from etchomo import (
     OrthotropicField,
     ReferenceParams,
     apply_operator,
-    assemble_dense,
     build_rhs,
     build_system,
     coefficient_stats,
-    condition_estimate,
-    dense_solve,
     fct_backward_batch,
     fct_forward_batch,
     gen_center_ball,
@@ -33,12 +30,14 @@ from etchomo import (
     pcg,
     read_vox,
     reconstruct_boundary_flux,
-    reference_system,
     solve_reference_lp,
     solve_smooth,
     write_vox,
 )
+from etchomo.oracles import assemble_dense, dense_solve, reference_system
 from etchomo.grid import RANDOM_BALL_PRESETS
+
+from conftest import condition_estimate
 
 BND = BoundaryConfig(Axis.Z, 1.0, 0.0)
 

@@ -271,3 +271,11 @@ def test_oracle_command(capsys):
     assert main(["oracle", "--max-n", "3"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("max_n", ["1", "17"])
+def test_oracle_max_n_outside_dense_range_exit_2(capsys, max_n):
+    assert main(["oracle", "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert "max-n" in captured.err and captured.err.count("\n") == 1
+    assert "PASS" not in captured.out

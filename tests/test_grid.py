@@ -12,10 +12,11 @@ from etchomo import (
     gen_channels,
     gen_random_balls,
     gen_smooth_problem,
-    linear_index,
     read_vox,
     write_vox,
 )
+
+from conftest import cell_centers, linear_index
 
 
 class TestGridSpec:
@@ -79,7 +80,7 @@ class TestField:
 class TestSmoothProblem:
     def test_coefficient_samples(self):
         field, _, _ = gen_smooth_problem(8)
-        _, Y, _ = field.grid.cell_centers()
+        _, Y, _ = cell_centers(field.grid)
         assert np.allclose(field.cube("kx"), np.cos(np.pi * Y) + 2.0)
 
     def test_exact_at_origin(self):
@@ -164,7 +165,7 @@ class TestRandomBalls:
         assert shift <= 1.0 / n
         rand = gen_random_balls(n, 1, 0.25, 0.25, 10.0, seed=seed)
         exact = gen_center_ball(n, 10.0)
-        X, Y, Z = exact.grid.cell_centers()
+        X, Y, Z = cell_centers(exact.grid)
         dist = np.sqrt((X - 0.5) ** 2 + (Y - 0.5) ** 2 + (Z - 0.5) ** 2)
         # membership can only flip within a shell of width `shift` around r=1/4
         decisive = np.abs(dist - 0.25) > shift
@@ -283,6 +284,78 @@ class TestVoxFormat:
             tracemalloc.stop()
         assert back.kx is not back.ky and back.ky is not back.kz
         assert peak <= 1.25 * payload
+
+
+def _full_grid_smooth(n):
+    X, Y, Z = cell_centers(GridSpec(n, n, n))
+    return np.cos(np.pi * Y) + 2.0, 2.0 * np.exp(Z), 3.0 * np.cos(np.pi * X) + 4.0
+
+
+def _full_grid_center_ball(n, kappa_inc):
+    X, Y, Z = cell_centers(GridSpec(n, n, n))
+    inside = (X - 0.5) ** 2 + (Y - 0.5) ** 2 + (Z - 0.5) ** 2 <= 0.25**2
+    return np.where(inside, float(kappa_inc), 1.0)
+
+
+def _full_grid_random_balls(n, count, r_min, r_max, kappa_inc, seed):
+    rng = np.random.default_rng(np.uint64(seed))
+    X, Y, Z = cell_centers(GridSpec(n, n, n))
+    inside = np.zeros(X.shape, dtype=bool)
+    for _ in range(count):
+        cx, cy, cz = rng.random(3)
+        r = r_min + (r_max - r_min) * rng.random()
+        inside |= (X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2 <= r * r
+    return np.where(inside, float(kappa_inc), 1.0)
+
+
+class TestGeneratorBits:
+    """Each generator gives the bits of its formula on full coordinate grids."""
+
+    @staticmethod
+    def _same_bits(field, want):
+        for got, ref in zip((field.kx, field.ky, field.kz), want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 24])
+    def test_smooth(self, n):
+        self._same_bits(gen_smooth_problem(n)[0], _full_grid_smooth(n))
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 24])
+    def test_center_ball(self, n):
+        k = _full_grid_center_ball(n, 7.5)
+        self._same_bits(gen_center_ball(n, 7.5), (k, k, k))
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 24])
+    @pytest.mark.parametrize("seed", [11, 686])
+    def test_random_balls(self, n, seed):
+        args = (n, 40, 0.05, 0.15, 10.0, seed)
+        k = _full_grid_random_balls(*args)
+        self._same_bits(gen_random_balls(*args), (k, k, k))
+
+
+class TestGeneratorMemory:
+    """Peak traced memory of a generator at 64^3, in f64 grid arrays. The
+    fields themselves take 1 (an isotropic pack) or 3 (the smooth problem)."""
+
+    @staticmethod
+    def _peak_arrays(make, n=64):
+        make(2)  # lazy imports (numpy.random) are not the generator's
+        tracemalloc.start()
+        try:
+            make(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * n**3)
+
+    def test_random_balls(self):
+        assert self._peak_arrays(lambda n: gen_random_balls(n, 40, 0.05, 0.15, 10.0, 11)) <= 1.5
+
+    def test_center_ball(self):
+        assert self._peak_arrays(lambda n: gen_center_ball(n, 10.0)) <= 1.25
+
+    def test_smooth(self):
+        assert self._peak_arrays(gen_smooth_problem) <= 3.25
 
 
 class TestSharedComponents:

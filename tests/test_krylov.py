@@ -5,18 +5,16 @@ from etchomo import (
     FctPreconditioner,
     PcgBreakdownError,
     apply_operator,
-    assemble_dense,
     build_rhs,
     build_system,
     coefficient_stats,
-    condition_estimate,
-    dense_solve,
     identity_apply,
     pcg,
     solve_reference_lp,
 )
+from etchomo.oracles import assemble_dense, dense_solve
 
-from conftest import constant_field, random_field
+from conftest import condition_estimate, constant_field, random_field
 
 
 def pcg_out_of_place(apply_A, apply_M_inv, b, rtol, max_iter=1024):

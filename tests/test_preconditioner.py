@@ -12,22 +12,19 @@ from etchomo import (
     OrthotropicField,
     ReferenceParams,
     apply_operator,
-    assemble_dense,
     build_rhs,
     build_system,
     coefficient_stats,
-    condition_estimate,
     identity_apply,
     ones_reference,
     pcg,
-    reference_system,
-    scale_field,
     solve_reference_lp,
     thomas_solve_batch,
 )
+from etchomo.oracles import assemble_dense, reference_system
 from etchomo.preconditioner import JacobiPreconditioner, SsorPreconditioner, TridiagFactors
 
-from conftest import constant_field, random_field
+from conftest import condition_estimate, constant_field, dense_block, random_field, scale_field
 
 
 def random_stats(rng) -> CoefficientStats:
@@ -200,19 +197,19 @@ class TestTridiag:
     def test_dense_block_ones(self):
         fac = TridiagFactors(GridSpec(4, 4, 3), ReferenceParams(1, 1, 1, 1, 1))
         want = np.array([[3.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 3.0]])
-        assert np.array_equal(fac.dense_block(0, 0), want)
+        assert np.array_equal(dense_block(fac, 0, 0), want)
 
     def test_high_mode_shift_approaches_four(self):
         nx = 100
         fac = TridiagFactors(GridSpec(nx, 4, 2), ReferenceParams(2.0, 1, 1, 1, 1))
-        shift = fac.dense_block(nx - 1, 0)[0, 0] - fac.dense_block(0, 0)[0, 0]
+        shift = dense_block(fac, nx - 1, 0)[0, 0] - dense_block(fac, 0, 0)[0, 0]
         assert shift == pytest.approx(4.0 * 2.0, rel=1e-3)
 
     def test_blocks_positive_definite(self):
         fac = TridiagFactors(GridSpec(3, 3, 4), ReferenceParams(1, 1, 1, 1, 1))
         for iq in range(3):
             for jq in range(3):
-                vals = np.linalg.eigvalsh(fac.dense_block(iq, jq))
+                vals = np.linalg.eigvalsh(dense_block(fac, iq, jq))
                 assert vals[0] > 0.0
 
     def test_thomas_single_layer(self):
@@ -221,14 +218,14 @@ class TestTridiag:
         got = thomas_solve_batch(fac, rhs)
         for j in range(2):
             for i in range(2):
-                t = fac.dense_block(i, j)
+                t = dense_block(fac, i, j)
                 assert got[0, j, i] == pytest.approx(rhs[0, j, i] / t[0, 0], rel=1e-14)
 
     def test_thomas_multiply_back(self):
         fac = TridiagFactors(GridSpec(1, 1, 3), ReferenceParams(1, 1, 1, 1, 1))
         rhs = np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1)
         got = thomas_solve_batch(fac, rhs)
-        t = fac.dense_block(0, 0)
+        t = dense_block(fac, 0, 0)
         assert np.max(np.abs(t @ got.ravel() - rhs.ravel())) <= 1e-14
 
     def test_thomas_batch_determinism(self):
@@ -240,7 +237,7 @@ class TestTridiag:
         # plane shift differs per (i', j'), so compare each against its block
         for j in range(3):
             for i in range(3):
-                want = np.linalg.solve(fac.dense_block(i, j), column)
+                want = np.linalg.solve(dense_block(fac, i, j), column)
                 assert np.allclose(got[:, j, i], want, rtol=1e-12)
         again = thomas_solve_batch(fac, np.broadcast_to(column[:, None, None], (5, 3, 3)).copy())
         assert np.array_equal(got, again)
@@ -253,7 +250,7 @@ class TestTridiag:
         got = thomas_solve_batch(fac, rhs.copy())
         for j in range(3):
             for i in range(4):
-                want = np.linalg.solve(fac.dense_block(i, j), rhs[:, j, i])
+                want = np.linalg.solve(dense_block(fac, i, j), rhs[:, j, i])
                 assert np.allclose(got[:, j, i], want, rtol=1e-12, atol=1e-13)
 
     def test_factors_once_and_reuses_them(self):
@@ -265,7 +262,7 @@ class TestTridiag:
             got = thomas_solve_batch(fac, rhs)
             for j in range(3):
                 for i in range(4):
-                    want = np.linalg.solve(fac.dense_block(i, j), rhs[:, j, i])
+                    want = np.linalg.solve(dense_block(fac, i, j), rhs[:, j, i])
                     assert np.allclose(got[:, j, i], want, rtol=1e-12, atol=1e-13)
             solves.append(fac.elimination())
         (upper_a, pivot_a), (upper_b, pivot_b) = solves
@@ -340,7 +337,7 @@ class TestFctPreconditioner:
         rng = np.random.default_rng(19)
         r = rng.standard_normal(5)
         got = apply_m(r)
-        want = np.linalg.solve(apply_m.factors.dense_block(0, 0), r)
+        want = np.linalg.solve(dense_block(apply_m.factors, 0, 0), r)
         assert np.allclose(got, want, rtol=1e-13)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])

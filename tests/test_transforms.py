@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from etchomo import (
-    dct1d_ref_backward,
-    dct1d_ref_forward,
-    fct_backward_batch,
-    fct_forward_batch,
-)
+from etchomo import fct_backward_batch, fct_forward_batch
+from etchomo.oracles import dct1d_ref_forward
+
+from conftest import dct1d_ref_backward
 
 
 def ref2d(v):
