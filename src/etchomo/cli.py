@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="homogenize one voxel file")
     p.add_argument("input", help="input .vox path")
     _add_solver_flags(p)
-    p.add_argument("--precond", choices=["fct", "ssor", "jacobi", "none"], default="fct")
+    p.add_argument("--precond", default="fct", help="tag fct|ssor|ssor:<omega>|jacobi|none")
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument("--history", default=None, help="write the residual CSV here")

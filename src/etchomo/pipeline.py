@@ -49,6 +49,7 @@ from .preconditioner import (
     FctPreconditioner,
     JacobiPreconditioner,
     SsorPreconditioner,
+    _check_omega,
     coefficient_stats,
     identity_apply,
     ones_reference,
@@ -134,15 +135,19 @@ def axis_permute(field: OrthotropicField, axis: Axis) -> OrthotropicField:
 
 
 def _parse_precond(tag: str, default_omega: float) -> tuple[str, float]:
-    """Split a tag fct|jacobi|none|ssor|ssor:<omega> into kind and omega."""
-    if tag in ("fct", "jacobi", "none", "ssor"):
+    """Split a tag fct|jacobi|none|ssor|ssor:<omega> into kind and omega,
+    and check an SSOR omega."""
+    if tag in ("fct", "jacobi", "none"):
         return tag, default_omega
     kind, sep, value = tag.partition(":")
-    if kind == "ssor" and sep:
+    if kind == "ssor":
         try:
-            return "ssor", float(value)
+            omega = float(value) if sep else default_omega
         except ValueError:
             pass
+        else:
+            _check_omega(omega)
+            return "ssor", omega
     raise ConfigError(f"unknown preconditioner tag {tag!r}")
 
 

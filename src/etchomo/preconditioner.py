@@ -4,13 +4,15 @@ The reference operator replaces the heterogeneous transmissibilities with
 five homogeneous constants (one per interior axis plus the two Dirichlet
 layers). Under the plane-wise cosine transform it block-diagonalizes into
 independent tridiagonal systems along z, one per transformed (x, y) mode.
-Each block is factored once, by non-pivoting symmetric elimination
-T = U^T D U (diagonal dominance makes that safe), and every apply reuses the
-factors: a unit-lower sweep, a pivot scaling and a unit-upper sweep.
+`FctPreconditioner` factors each block once, by non-pivoting symmetric
+elimination T = U^T D U (diagonal dominance makes that safe), and every
+apply reuses the factors: a unit-lower sweep, a pivot scaling and a
+unit-upper sweep.
 
 Reference constants come either from a closed-form solution of the
 log-domain min-max program over the coefficient statistics ("opt") or are
-all ones ("one"). SSOR, Jacobi, and the identity round out the baselines.
+all ones ("one"). SSOR (from the stencil's bands), Jacobi, and the
+identity round out the baselines.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ConfigError, GridSpec
-from .tpfa import DiscreteSystem, operator_diagonal, assemble_sparse
+from .tpfa import DiscreteSystem, operator_diagonal, stencil_bands
 from .transforms import fct_backward_batch, fct_forward_batch
 
 
@@ -138,8 +140,10 @@ def ones_reference(stats: CoefficientStats) -> ReferenceParams:
     return ReferenceParams(1.0, 1.0, 1.0, 1.0, 1.0, lo, hi)
 
 
-class TridiagFactors:
-    """Shared data for the per-mode tridiagonal solves.
+class FctPreconditioner:
+    """The inverse reference operator: a forward cosine transform of each
+    k-slice, one tridiagonal solve per transformed column, and the backward
+    transform.
 
     Stores the plane shift kx_ref*wx[q_x] + ky_ref*wy[q_y] of every mode,
     with the eigen-weights w[q] = 2*(1-cos(q*pi/N)), the z-chain diagonal and
@@ -204,29 +208,33 @@ class TridiagFactors:
             self._upper_planes = list(upper)
         return self._upper, self._last_pivot
 
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """`r` is left untouched; the result is the one new grid array."""
+        r = np.asarray(r, dtype=self.dtype).reshape(self.grid.shape)
+        coeff = fct_forward_batch(r)
+        thomas_solve_batch(self, coeff)
+        return fct_backward_batch(coeff, overwrite=True).reshape(-1)
+
 
 def _check_pivot(pivot: np.ndarray, k: int) -> None:
     if not np.all(pivot > 0):
         raise FloatingPointError(f"non-positive pivot in tridiagonal solve at layer {k}")
 
 
-def thomas_solve_batch(
-    factors: TridiagFactors, rhs: np.ndarray, overwrite: bool = False
-) -> np.ndarray:
-    """Solve every (i', j') z-column against its tridiagonal block.
+def thomas_solve_batch(pre: FctPreconditioner, rhs: np.ndarray) -> np.ndarray:
+    """Solve every (i', j') z-column against its tridiagonal block, in place
+    in `rhs` (a contiguous grid array); returns the solution in its shape.
 
     Uses the cached factors T = U^T D U over the whole (ny, nx) plane at once:
     a unit-lower sweep, one scaling by the inverse pivots and a unit-upper
     sweep. The sweeps walk the factors' cached plane views alongside a list
     of the right-hand side's layer views, with two ufunc calls into one
-    plane of scratch per layer. The first call on `factors` also factors the
+    plane of scratch per layer. The first call on `pre` also factors the
     blocks.
     """
-    upper, last_pivot = factors.elimination()
-    planes = factors._upper_planes
-    x = rhs.reshape(factors.grid.shape)
-    if not overwrite:
-        x = x.copy()
+    upper, last_pivot = pre.elimination()
+    planes = pre._upper_planes
+    x = rhs.reshape(pre.grid.shape)
     xs = list(x)
     scratch = np.empty(x.shape[1:], dtype=x.dtype)
     for l, prev, xk in zip(planes, xs, xs[1:]):
@@ -234,7 +242,7 @@ def thomas_solve_batch(
         np.subtract(xk, scratch, xk)
     # 1/pivot_k = upper_k / off for every layer but the last
     x[:-1] *= upper
-    x[:-1] /= factors.off
+    x[:-1] /= pre.off
     x[-1] /= last_pivot
     for l, nxt, xk in zip(reversed(planes), reversed(xs[1:]), reversed(xs[:-1])):
         np.multiply(l, nxt, scratch)
@@ -242,43 +250,32 @@ def thomas_solve_batch(
     return x.reshape(rhs.shape)
 
 
-class FctPreconditioner:
-    """Tridiagonal factors with a callable apply."""
-
-    def __init__(self, grid: GridSpec, refs: ReferenceParams, dtype=np.float64):
-        self.factors = TridiagFactors(grid, refs, dtype)
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Apply the inverse reference operator: forward cosine transform of
-        each k-slice, one tridiagonal solve per transformed column, backward
-        transform. `r` is left untouched; the result is the one new grid
-        array."""
-        factors = self.factors
-        r = np.asarray(r, dtype=factors.dtype).reshape(factors.grid.shape)
-        coeff = fct_forward_batch(r)
-        thomas_solve_batch(factors, coeff, overwrite=True)
-        return fct_backward_batch(coeff, overwrite=True).reshape(-1)
+def _check_omega(omega: float) -> None:
+    if not 0.0 < omega < 2.0:
+        raise ConfigError(f"omega must lie in (0, 2), got {omega}")
 
 
 class SsorPreconditioner:
-    """Symmetric over-relaxation sweeps on the assembled sparse operator.
-
-    The triangular factors are LU-factorized once with natural ordering (no
-    fill for triangular input), so each apply is two substitution passes plus
-    a diagonal scaling.
+    """Symmetric over-relaxation sweeps. The triangles D/omega - L and
+    D/omega - U are built in f64 from the diagonal and `stencil_bands`, and
+    LU-factorized once with natural ordering (no fill for triangular input),
+    so each apply is two substitution passes plus a diagonal scaling.
     """
 
     def __init__(self, sys: DiscreteSystem, omega: float = 1.0):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        if not 0.0 < omega < 2.0:
-            raise ConfigError(f"omega must lie in (0, 2), got {omega}")
+        _check_omega(omega)
         self.omega = float(omega)
-        mat = assemble_sparse(sys).astype(np.float64)
-        diag = mat.diagonal()
-        lower = sp.tril(mat, k=-1, format="csc") + sp.diags(diag / omega).tocsc()
-        upper = sp.triu(mat, k=1, format="csc") + sp.diags(diag / omega).tocsc()
+        diag = operator_diagonal(sys).astype(np.float64)
+        steps, bands = [0], [diag / omega]
+        for s, t in stencil_bands(sys):
+            steps.append(s)
+            bands.append(np.negative(t, dtype=np.float64))
+        lower = sp.diags(bands, [-s for s in steps], format="csc")
+        upper = sp.diags(bands, steps, format="csc")
+        del bands  # the CSC triangles hold copies; free these before splu
         self._diag = diag
         self._fwd = spla.splu(lower, permc_spec="NATURAL")
         self._bwd = spla.splu(upper, permc_spec="NATURAL")

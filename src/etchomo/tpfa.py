@@ -9,8 +9,10 @@ in one small buffer instead of a full-grid array: within a slab each axis is
 a flat offset (1, nx or nx*ny), its face fluxes are formed in one contiguous
 pass, and the fluxes that would wrap from the end of one grid line into the
 next are zeroed. The z-fluxes of a slab include the face-layer just below
-it. Boundary potentials enter through the right-hand side with ghost values
-fixed at zero outside the domain.
+it. `stencil_bands` yields the same couplings as whole bands, one per flat
+offset, from which the SSOR baseline builds its triangles. Boundary
+potentials enter through the right-hand side with ghost values fixed at zero
+outside the domain.
 """
 
 from __future__ import annotations
@@ -254,32 +256,22 @@ def add_source(sys: DiscreteSystem, b: np.ndarray, source) -> np.ndarray:
     return (b.reshape(grid.shape) + np.broadcast_to(samples, grid.shape)).reshape(-1)
 
 
-def assemble_sparse(sys: DiscreteSystem):
-    """CSR form of the operator (feeds the triangular-sweep preconditioners)."""
-    import scipy.sparse as sp
+def stencil_bands(sys: DiscreteSystem):
+    """Yield (s, t) for each axis that has faces: the flat step s (1, nx or
+    nx*ny) and the n-s couplings t[p] between cells p and p+s, zero where
+    p+s wraps into the next grid line, as in `apply_operator`.
 
+    The operator's off-diagonals are -t at offsets -s and +s.
+    """
     g = sys.grid
-    n = g.n_cells
-    idx = np.arange(n).reshape(g.shape)
-    rows, cols, vals = [], [], []
-
-    def couple(left, right, t):
-        left, right, t = left.ravel(), right.ravel(), t.ravel()
-        rows.extend((left, right))
-        cols.extend((right, left))
-        vals.extend((-t, -t))
-
-    couple(idx[:, :, :-1], idx[:, :, 1:], sys.faces_x())
-    couple(idx[:, 1:, :], idx[:, :-1, :], sys.faces_y())
-    couple(idx[1:, :, :], idx[:-1, :, :], sys.faces_z())
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(operator_diagonal(sys))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return mat.tocsr()
+    n, nx, nxy = g.n_cells, g.nx, g.nx * g.ny
+    for faces, s, line in ((sys.tx, 1, nx), (sys.ty, nx, nxy)):
+        if faces.size:
+            t = np.zeros(n, dtype=sys.dtype)
+            t.reshape(-1, line)[:, : line - s] = faces.reshape(-1, line - s)
+            yield s, t[: n - s]
+    if sys.tz.size:
+        yield nxy, sys.tz
 
 
 def reconstruct_boundary_flux(

@@ -58,7 +58,7 @@ def dct1d_ref_backward(uh: np.ndarray) -> np.ndarray:
 
 
 def dense_block(factors, i: int, j: int) -> np.ndarray:
-    """Explicit (nz, nz) matrix of one transformed mode of a TridiagFactors."""
+    """Explicit (nz, nz) matrix of one transformed mode of an FctPreconditioner."""
     nz = factors.grid.nz
     t = np.diag(factors.z_diag.astype(np.float64).copy())
     t += np.diag(np.full(nz - 1, float(factors.off)), 1)

@@ -118,13 +118,13 @@ def test_nonconvergence_exit_1(tmp_path):
 
 
 def test_pivot_failure_exit_1(tmp_path, capsys, monkeypatch):
-    init = etchomo.preconditioner.TridiagFactors.__init__
+    init = etchomo.preconditioner.FctPreconditioner.__init__
 
     def nan_pivot_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         self.z_diag[-1] = np.nan
 
-    monkeypatch.setattr(etchomo.preconditioner.TridiagFactors, "__init__", nan_pivot_init)
+    monkeypatch.setattr(etchomo.preconditioner.FctPreconditioner, "__init__", nan_pivot_init)
     vox = tmp_path / "ball.vox"
     write_vox(gen_center_ball(6, 10.0), vox)
     assert main(["solve", str(vox), "--rtol", "1e-6"]) == 1
@@ -259,6 +259,52 @@ def test_compare_malformed_ssor_tag_exit_2(tmp_path, capsys, tag):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"unknown preconditioner tag {tag!r}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tags", [
+    ["--precond", "fct", "--precond", "ssor:3"],
+    ["--precond", "fct", "--precond", "ssor", "--omega", "2.5"],
+])
+def test_compare_bad_omega_exit_2_before_any_solve(tmp_path, capsys, tags):
+    out = tmp_path / "cmp"
+    code = main(["compare", "--config", "center-ball", "--n", "6", "--rtol", "1e-6",
+                 *tags, "-o", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "omega must lie in (0, 2), got " in err
+    assert not out.exists()
+
+
+def test_compare_fct_runs_with_any_omega(tmp_path):
+    out = tmp_path / "cmp"
+    code = main(["compare", "--config", "center-ball", "--n", "6", "--rtol", "1e-6",
+                 "--precond", "fct", "--omega", "2.5", "-o", str(out)])
+    assert code == 0
+    assert (out / "history_fct.csv").exists()
+
+
+def test_solve_takes_ssor_omega_tags(tmp_path, capsys):
+    vox = tmp_path / "ball.vox"
+    write_vox(gen_center_ball(6, 10.0), vox)
+    printed, tags = [], []
+    for flags in (["--precond", "ssor:1.5"], ["--precond", "ssor", "--omega", "1.5"]):
+        report = tmp_path / "r.json"
+        assert main(["solve", str(vox), "--rtol", "1e-6", *flags, "--report", str(report)]) == 0
+        printed.append(json.loads(capsys.readouterr().out))
+        tags.append(json.loads(report.read_text())["precond"])
+    assert printed[0] == printed[1]
+    assert tags == ["ssor:1.5", "ssor:1.5"]
+
+
+@pytest.mark.parametrize("tag", ["ilu", "ssor1.5", "ssor:fast", "ssor:3"])
+def test_solve_bad_precond_tag_exit_2(tmp_path, capsys, tag):
+    vox = tmp_path / "ball.vox"
+    write_vox(gen_center_ball(4, 10.0), vox)
+    assert main(["solve", str(vox), "--precond", tag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("etc: configuration error: ") and err.count("\n") == 1
+    want = "omega must lie in" if tag == "ssor:3" else f"unknown preconditioner tag {tag!r}"
+    assert want in err
 
 
 def test_bench_command(capsys):

@@ -13,6 +13,7 @@ from etchomo import (
     GridSpec,
     OrthotropicField,
     axis_permute,
+    build_system,
     channels_study,
     compare_preconditioners,
     gen_center_ball,
@@ -24,6 +25,7 @@ from etchomo import (
 )
 from etchomo import pipeline
 from etchomo.pipeline import report_to_dict, write_history, write_report
+from etchomo.preconditioner import SsorPreconditioner
 
 from conftest import constant_field, random_field
 
@@ -107,6 +109,34 @@ class TestHomogenize:
             homogenize(constant_field(2, 2, 2), boundary_z, precond=tag)
         with pytest.raises(ConfigError, match="^unknown preconditioner tag"):
             ExperimentPlan("center-ball", preconds=("fct", tag))
+
+    @pytest.mark.parametrize("tag, omega, bad", [
+        ("ssor:3", 1.0, 3.0), ("ssor:0", 1.0, 0.0), ("ssor:-1", 1.0, -1.0),
+        ("ssor:2", 1.0, 2.0), ("ssor:nan", 1.0, float("nan")), ("ssor", 2.5, 2.5),
+        ("ssor", 0.0, 0.0),
+    ])
+    def test_rejects_omega_outside_open_interval_before_solving(
+        self, boundary_z, monkeypatch, tag, omega, bad
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(pipeline, "pcg", no_solve)
+        message = f"^omega must lie in \\(0, 2\\), got {bad}$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentPlan("center-ball", preconds=("fct", tag), omega=omega)
+        with pytest.raises(ConfigError, match=message):
+            homogenize(constant_field(2, 2, 2), boundary_z, precond=tag, omega=omega)
+        if tag == "ssor":
+            sys = build_system(constant_field(2, 2, 2), boundary_z)
+            with pytest.raises(ConfigError, match=message):
+                SsorPreconditioner(sys, omega)
+
+    def test_fct_and_jacobi_ignore_omega(self, boundary_z):
+        plan = ExperimentPlan("center-ball", preconds=("fct", "jacobi", "none"), omega=2.5)
+        assert plan.omega == 2.5
+        rep = homogenize(gen_center_ball(6, 10.0), boundary_z, 1e-7, precond="fct", omega=7.0)
+        assert rep.preconditioner == "fct" and rep.converged
 
     @pytest.mark.parametrize("tag, omega, want", [
         ("ssor", 1.3, "ssor:1.3"), ("ssor:1.5", 1.0, "ssor:1.5"), ("ssor:0.8", 1.5, "ssor:0.8"),

@@ -15,6 +15,7 @@ from etchomo import (
     build_rhs,
     build_system,
     coefficient_stats,
+    gen_random_balls,
     identity_apply,
     ones_reference,
     pcg,
@@ -22,7 +23,8 @@ from etchomo import (
     thomas_solve_batch,
 )
 from etchomo.oracles import assemble_dense, reference_system
-from etchomo.preconditioner import JacobiPreconditioner, SsorPreconditioner, TridiagFactors
+from etchomo.preconditioner import JacobiPreconditioner, SsorPreconditioner
+from etchomo.tpfa import operator_diagonal
 
 from conftest import condition_estimate, constant_field, dense_block, random_field, scale_field
 
@@ -195,41 +197,41 @@ class TestReferenceLp:
 
 class TestTridiag:
     def test_dense_block_ones(self):
-        fac = TridiagFactors(GridSpec(4, 4, 3), ReferenceParams(1, 1, 1, 1, 1))
+        fac = FctPreconditioner(GridSpec(4, 4, 3), ReferenceParams(1, 1, 1, 1, 1))
         want = np.array([[3.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 3.0]])
         assert np.array_equal(dense_block(fac, 0, 0), want)
 
     def test_high_mode_shift_approaches_four(self):
         nx = 100
-        fac = TridiagFactors(GridSpec(nx, 4, 2), ReferenceParams(2.0, 1, 1, 1, 1))
+        fac = FctPreconditioner(GridSpec(nx, 4, 2), ReferenceParams(2.0, 1, 1, 1, 1))
         shift = dense_block(fac, nx - 1, 0)[0, 0] - dense_block(fac, 0, 0)[0, 0]
         assert shift == pytest.approx(4.0 * 2.0, rel=1e-3)
 
     def test_blocks_positive_definite(self):
-        fac = TridiagFactors(GridSpec(3, 3, 4), ReferenceParams(1, 1, 1, 1, 1))
+        fac = FctPreconditioner(GridSpec(3, 3, 4), ReferenceParams(1, 1, 1, 1, 1))
         for iq in range(3):
             for jq in range(3):
                 vals = np.linalg.eigvalsh(dense_block(fac, iq, jq))
                 assert vals[0] > 0.0
 
     def test_thomas_single_layer(self):
-        fac = TridiagFactors(GridSpec(2, 2, 1), ReferenceParams(1, 1, 1, 0.5, 0.25))
+        fac = FctPreconditioner(GridSpec(2, 2, 1), ReferenceParams(1, 1, 1, 0.5, 0.25))
         rhs = np.arange(1.0, 5.0).reshape(1, 2, 2)
-        got = thomas_solve_batch(fac, rhs)
+        got = thomas_solve_batch(fac, rhs.copy())
         for j in range(2):
             for i in range(2):
                 t = dense_block(fac, i, j)
                 assert got[0, j, i] == pytest.approx(rhs[0, j, i] / t[0, 0], rel=1e-14)
 
     def test_thomas_multiply_back(self):
-        fac = TridiagFactors(GridSpec(1, 1, 3), ReferenceParams(1, 1, 1, 1, 1))
+        fac = FctPreconditioner(GridSpec(1, 1, 3), ReferenceParams(1, 1, 1, 1, 1))
         rhs = np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1)
-        got = thomas_solve_batch(fac, rhs)
+        got = thomas_solve_batch(fac, rhs.copy())
         t = dense_block(fac, 0, 0)
         assert np.max(np.abs(t @ got.ravel() - rhs.ravel())) <= 1e-14
 
     def test_thomas_batch_determinism(self):
-        fac = TridiagFactors(GridSpec(3, 3, 5), ReferenceParams(1, 1, 1, 1, 1))
+        fac = FctPreconditioner(GridSpec(3, 3, 5), ReferenceParams(1, 1, 1, 1, 1))
         rng = np.random.default_rng(17)
         column = rng.standard_normal(5)
         rhs = np.broadcast_to(column[:, None, None], (5, 3, 3)).copy()
@@ -245,7 +247,7 @@ class TestTridiag:
     def test_thomas_random_batch_vs_dense(self):
         rng = np.random.default_rng(18)
         refs = ReferenceParams(0.3, 2.0, 1.5, 0.8, 1.1)
-        fac = TridiagFactors(GridSpec(4, 3, 6), refs)
+        fac = FctPreconditioner(GridSpec(4, 3, 6), refs)
         rhs = rng.standard_normal((6, 3, 4))
         got = thomas_solve_batch(fac, rhs.copy())
         for j in range(3):
@@ -255,11 +257,11 @@ class TestTridiag:
 
     def test_factors_once_and_reuses_them(self):
         rng = np.random.default_rng(26)
-        fac = TridiagFactors(GridSpec(4, 3, 6), ReferenceParams(0.3, 2.0, 1.5, 0.8, 1.1))
+        fac = FctPreconditioner(GridSpec(4, 3, 6), ReferenceParams(0.3, 2.0, 1.5, 0.8, 1.1))
         solves = []
         for _ in range(2):
             rhs = rng.standard_normal((6, 3, 4))
-            got = thomas_solve_batch(fac, rhs)
+            got = thomas_solve_batch(fac, rhs.copy())
             for j in range(3):
                 for i in range(4):
                     want = np.linalg.solve(dense_block(fac, i, j), rhs[:, j, i])
@@ -270,14 +272,14 @@ class TestTridiag:
         assert upper_a.shape == (5, 3, 4) and pivot_a.shape == (3, 4)
 
     def test_f32_factors_stay_f32(self):
-        fac = TridiagFactors(GridSpec(5, 4, 7), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), np.float32)
+        fac = FctPreconditioner(GridSpec(5, 4, 7), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), np.float32)
         rhs = np.ones((7, 4, 5), dtype=np.float32)
         assert thomas_solve_batch(fac, rhs).dtype == np.float32
         upper, last_pivot = fac.elimination()
         assert upper.dtype == last_pivot.dtype == np.float32
 
     def test_nan_pivot_raises(self):
-        fac = TridiagFactors(GridSpec(3, 2, 4), ReferenceParams(1, 1, 1, 1, 1))
+        fac = FctPreconditioner(GridSpec(3, 2, 4), ReferenceParams(1, 1, 1, 1, 1))
         fac.z_diag[2] = np.nan
         with pytest.raises(FloatingPointError, match="layer 2"):
             thomas_solve_batch(fac, np.ones((4, 2, 3)))
@@ -285,18 +287,17 @@ class TestTridiag:
     def test_underflowing_multiplier_raises(self):
         # kz_ref / kx_ref = 1e-40: off / pivot is below the smallest normal
         # float32, so the pivots could not be recovered from the multipliers
-        fac = TridiagFactors(GridSpec(4, 4, 3), ReferenceParams(1e10, 1e10, 1e-30, 1, 1), np.float32)
+        fac = FctPreconditioner(GridSpec(4, 4, 3), ReferenceParams(1e10, 1e10, 1e-30, 1, 1), np.float32)
         with pytest.raises(FloatingPointError, match="underflow"):
             thomas_solve_batch(fac, np.ones((3, 4, 4), dtype=np.float32))
 
 
-def indexed_thomas(factors, rhs, overwrite=False):
+def indexed_thomas(factors, rhs):
     """Thomas sweeps indexing the factors and the right-hand side layer by
-    layer: the reference for the plane-view sweeps of thomas_solve_batch."""
+    layer, in place: the reference for the plane-view sweeps of
+    thomas_solve_batch."""
     upper, last_pivot = factors.elimination()
     x = rhs.reshape(factors.grid.shape)
-    if not overwrite:
-        x = x.copy()
     nz = x.shape[0]
     scratch = np.empty(x.shape[1:], dtype=x.dtype)
     for k in range(1, nz):
@@ -312,22 +313,18 @@ def indexed_thomas(factors, rhs, overwrite=False):
 
 
 class TestThomasBits:
-    @pytest.mark.parametrize("overwrite", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("nz", [1, 2, 3, 7])
-    def test_equals_indexed_sweeps(self, nz, dtype, overwrite):
+    def test_equals_indexed_sweeps(self, nz, dtype):
         rng = np.random.default_rng(40 + nz)
-        fac = TridiagFactors(GridSpec(5, 4, nz), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), dtype)
+        fac = FctPreconditioner(GridSpec(5, 4, nz), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), dtype)
         rhs = rng.standard_normal((nz, 4, 5)).astype(dtype)
         mine, theirs = rhs.copy(), rhs.copy()
-        got = thomas_solve_batch(fac, mine, overwrite=overwrite)
-        want = indexed_thomas(fac, theirs, overwrite=overwrite)
+        got = thomas_solve_batch(fac, mine)
+        want = indexed_thomas(fac, theirs)
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
-        if overwrite:
-            assert np.shares_memory(got, mine) and np.array_equal(mine, got)
-        else:
-            assert np.array_equal(mine, rhs)
+        assert np.shares_memory(got, mine) and np.array_equal(mine, got)
 
 
 class TestFctPreconditioner:
@@ -337,7 +334,7 @@ class TestFctPreconditioner:
         rng = np.random.default_rng(19)
         r = rng.standard_normal(5)
         got = apply_m(r)
-        want = np.linalg.solve(dense_block(apply_m.factors, 0, 0), r)
+        want = np.linalg.solve(dense_block(apply_m, 0, 0), r)
         assert np.allclose(got, want, rtol=1e-13)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -446,3 +443,64 @@ class TestClassicalBaselines:
         _, rep = pcg(lambda u: apply_operator(sys, u), apply_m, b, 1e-8, max_iter=400)
         assert rep.converged
         assert rep.relative_residuals[-1] <= 1e-8
+
+    def test_ssor_setup_peak(self, boundary_z):
+        # the seed-11 48^3 pack: the triangles are built from the bands
+        # without a full matrix, so set-up stays below 32 f64 grid arrays
+        sys = build_system(gen_random_balls(48, 40, 0.05, 0.15, 10.0, 11), boundary_z)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            SsorPreconditioner(sys, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / (48**3 * 8) <= 32
+
+
+class TestSsorBits:
+    @pytest.mark.parametrize("omega", [0.7, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 5), (3, 1, 1), (1, 4, 1), (7, 6, 1), (4, 3, 5)])
+    def test_triangles_and_factors_equal_dense_reference(
+        self, dims, dtype, omega, boundary_z, monkeypatch
+    ):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        splu, seen = spla.splu, []
+
+        def recording_splu(mat, **kwargs):
+            seen.append((mat, kwargs))
+            return splu(mat, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+        rng = np.random.default_rng(sum(dims) + int(10 * omega))
+        sys = build_system(random_field(rng, *dims, contrast=math.exp(4), dtype=dtype), boundary_z)
+        m = SsorPreconditioner(sys, omega)
+        dense = assemble_dense(sys)
+        d = operator_diagonal(sys).astype(np.float64)
+        want = (np.tril(dense, -1) + np.diag(d / omega), np.triu(dense, 1) + np.diag(d / omega))
+        assert len(seen) == 2
+        ref_lus = []
+        for (got, kwargs), ref, lu in zip(seen, want, (m._fwd, m._bwd)):
+            assert kwargs == {"permc_spec": "NATURAL"}
+            assert got.format == "csc" and got.dtype == np.float64
+            assert got.nnz == np.count_nonzero(ref)
+            assert np.array_equal(got.toarray(), ref)
+            ref_lu = splu(sp.csc_matrix(ref), permc_spec="NATURAL")
+            for mine, theirs in ((lu.L, ref_lu.L), (lu.U, ref_lu.U)):
+                mine, theirs = mine.tocsc(), theirs.tocsc()
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(mine, attr), getattr(theirs, attr))
+            assert np.array_equal(lu.perm_r, ref_lu.perm_r)
+            assert np.array_equal(lu.perm_c, ref_lu.perm_c)
+            ref_lus.append(ref_lu)
+        r = rng.standard_normal(sys.grid.n_cells).astype(dtype)
+        y = ref_lus[0].solve(r.astype(np.float64))
+        y *= d
+        y = ref_lus[1].solve(y)
+        y *= (2.0 - omega) / omega
+        got = m(r)
+        assert got.dtype == dtype
+        assert np.array_equal(got, y.astype(dtype))

@@ -25,7 +25,7 @@ from etchomo import (
 )
 from etchomo.oracles import assemble_dense, dense_solve
 from etchomo import tpfa
-from etchomo.tpfa import assemble_sparse, operator_diagonal
+from etchomo.tpfa import operator_diagonal, stencil_bands
 
 from conftest import cell_centers, constant_field, random_field, scale_field
 
@@ -315,7 +315,10 @@ class TestDenseAssembly:
     def test_sparse_matches_dense(self, boundary_z):
         rng = np.random.default_rng(8)
         sys = build_system(random_field(rng, 3, 4, 5), boundary_z)
-        assert np.allclose(assemble_sparse(sys).toarray(), assemble_dense(sys))
+        dense = assemble_dense(sys)
+        for s, t in stencil_bands(sys):
+            assert np.array_equal(np.diagonal(dense, s), -t)
+            assert np.array_equal(np.diagonal(dense, -s), -t)
 
     def test_diagonal_helper(self, boundary_z):
         rng = np.random.default_rng(9)
@@ -326,6 +329,32 @@ class TestDenseAssembly:
         sys = build_system(constant_field(17, 17, 17), boundary_z)
         with pytest.raises(ValueError):
             assemble_dense(sys)
+
+
+class TestStencilBands:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "dims",
+        [(1, 1, 1), (1, 1, 5), (3, 1, 1), (1, 4, 1), (2, 3, 4), (5, 1, 7), (7, 6, 1), (6, 5, 4)],
+    )
+    def test_bands_are_the_dense_off_diagonals(self, dims, dtype, boundary_z):
+        rng = np.random.default_rng(sum(dims) + 11 * dims[1])
+        sys = build_system(random_field(rng, *dims, dtype=dtype), boundary_z)
+        nx, ny, nz = dims
+        n = sys.grid.n_cells
+        dense = assemble_dense(sys)
+        rebuilt = np.diag(np.diag(dense))
+        steps = []
+        for s, t in stencil_bands(sys):
+            steps.append(s)
+            assert t.dtype == dtype and t.shape == (n - s,)
+            assert np.array_equal(np.diagonal(dense, s), -t)
+            assert np.array_equal(np.diagonal(dense, -s), -t)
+            rebuilt += np.diag(-t.astype(np.float64), s) + np.diag(-t.astype(np.float64), -s)
+        want = [s for s, m in ((1, nx), (nx, ny), (nx * ny, nz)) if m > 1]
+        assert steps == want
+        # no coupling lies off the bands
+        assert np.array_equal(rebuilt, dense)
 
 
 class TestFluxAndEffective:
