@@ -167,6 +167,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    # a bad setting exits 2 before the input is read
+    pipeline._check_settings(args.precision, args.ref, (args.rtol,), (args.precond,), args.omega)
     field = read_vox(args.input)
     boundary = BoundaryConfig(Axis(args.axis), args.p_in, args.p_out)
     report = pipeline.homogenize(

@@ -23,7 +23,7 @@ from .preconditioner import (
     ReferenceParams,
     solve_reference_lp,
 )
-from .tpfa import DiscreteSystem, apply_operator, build_rhs
+from .tpfa import DiscreteSystem, _layout, _split, apply_operator, build_rhs
 from .transforms import fct_backward_batch, fct_forward_batch
 
 DENSE_GUARD = 4096
@@ -44,22 +44,18 @@ def assemble_dense(sys: DiscreteSystem) -> np.ndarray:
     n = g.n_cells
     if n > DENSE_GUARD:
         raise ValueError(f"dense assembly capped at {DENSE_GUARD} cells, got {n}")
-    idx = np.arange(n).reshape(g.shape)
     mat = np.zeros((n, n))
-
-    def couple(left, right, t):
-        left, right, t = left.ravel(), right.ravel(), t.ravel()
-        np.add.at(mat, (left, left), t)
-        np.add.at(mat, (right, right), t)
-        np.add.at(mat, (left, right), -t)
-        np.add.at(mat, (right, left), -t)
-
-    couple(idx[:, :, :-1], idx[:, :, 1:], sys.faces_x())
-    couple(idx[:, 1:, :], idx[:, :-1, :], sys.faces_y())
-    couple(idx[1:, :, :], idx[:-1, :, :], sys.faces_z())
+    for s, t in sys.bands():
+        lo = np.arange(n - s)
+        hi = lo + s
+        mat[hi, hi] += t
+        mat[lo, lo] += t
+        mat[lo, hi] -= t
+        mat[hi, lo] -= t
+    nxy = g.nx * g.ny
     diag_bnd = np.zeros(n)
-    np.add.at(diag_bnd, idx[0].ravel(), sys.t_in)
-    np.add.at(diag_bnd, idx[-1].ravel(), sys.t_out)
+    diag_bnd[:nxy] += sys.t_in
+    diag_bnd[n - nxy:] += sys.t_out
     mat[np.arange(n), np.arange(n)] += diag_bnd
     return mat
 
@@ -82,14 +78,17 @@ def reference_system(grid: GridSpec, refs: ReferenceParams) -> DiscreteSystem:
     """The reference operator realized as a stencil system on the canonical z
     problem in f64: constant interior transmissibilities and 2*k_ref
     Dirichlet terms. Lets every stencil oracle apply to the preconditioner."""
-    nx, ny, nz = grid.nx, grid.ny, grid.nz
+    n, nxy = grid.n_cells, grid.nx * grid.ny
+    bands = []
+    for k_ref, (s, line) in zip((refs.kx_ref, refs.ky_ref, refs.kz_ref), _layout(grid)):
+        t = np.full(n, k_ref, dtype=np.float64)
+        _split(t, s, line)[1][...] = 0
+        bands.append(t)
     return DiscreteSystem(
         grid,
-        np.full((nx - 1) * ny * nz, refs.kx_ref, dtype=np.float64),
-        np.full(nx * (ny - 1) * nz, refs.ky_ref, dtype=np.float64),
-        np.full(nx * ny * (nz - 1), refs.kz_ref, dtype=np.float64),
-        np.full(nx * ny, 2.0 * refs.kin_ref, dtype=np.float64),
-        np.full(nx * ny, 2.0 * refs.kout_ref, dtype=np.float64),
+        *bands,
+        np.full(nxy, 2.0 * refs.kin_ref, dtype=np.float64),
+        np.full(nxy, 2.0 * refs.kout_ref, dtype=np.float64),
         BoundaryConfig(Axis.Z, 1.0, 0.0),
     )
 

@@ -2,12 +2,12 @@
 
 Every solve goes through one core: `_prepare` checks the settings, moves the
 Dirichlet axis to z, casts, assembles, picks the reference constants and
-builds the preconditioner; `_solve` checks rtol, runs `pcg`, times it and
-fills the report. `homogenize`, `solve_smooth` and the dense-solver oracle
-differ only in the field and the right-hand side they hand over; `bench`
-times the operator and the preconditioner that `_prepare` built. The permuted
-or cast copy of the field lives only inside `_prepare`, so it is freed before
-the solve starts.
+builds the preconditioner; `_solve` runs `pcg`, times it and fills the
+report. The drivers check rtol before any set-up. `homogenize`,
+`solve_smooth` and the dense-solver oracle differ only in the field and the
+right-hand side they hand over; `bench` times the operator and the
+preconditioner that `_prepare` built. The permuted or cast copy of the field
+lives only inside `_prepare`, so it is freed before the solve starts.
 
 The four studies each take an `ExperimentPlan`, build every field through
 `make_field` and solve every run through `_run`, which forms the boundary
@@ -66,6 +66,8 @@ from .tpfa import (
 )
 
 _DTYPES = {"f64": np.float64, "f32": np.float32}
+# timed applies per kernel in `bench`, after one untimed warm-up call
+_BENCH_ROUNDS = 10
 
 
 @dataclass
@@ -88,17 +90,18 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.rtols:
             raise ConfigError("plan needs at least one rtol")
-        _check_settings(self.precision, self.ref_mode, self.rtols)
-        for tag in self.preconds:
-            _parse_precond(tag, self.omega)
+        _check_settings(self.precision, self.ref_mode, self.rtols, self.preconds, self.omega)
         if self.p_in == self.p_out:
             raise ConfigError("p_in must differ from p_out")
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
 
 
-def _check_settings(precision: str = "f64", ref_mode: str = "opt", rtols=()) -> None:
-    """The one check of the solver settings shared by plans and the core."""
+def _check_settings(
+    precision: str = "f64", ref_mode: str = "opt", rtols=(), preconds=(), omega: float = 1.0
+) -> None:
+    """The one check of the solver settings shared by plans, `etc solve` and
+    the core."""
     for rt in rtols:
         if not 0.0 < rt < 1.0:
             raise ConfigError(f"rtol must lie in (0, 1), got {rt}")
@@ -106,6 +109,8 @@ def _check_settings(precision: str = "f64", ref_mode: str = "opt", rtols=()) -> 
         raise ConfigError(f"precision must be f64 or f32, got {precision!r}")
     if ref_mode not in ("opt", "one"):
         raise ConfigError(f"ref mode must be opt or one, got {ref_mode!r}")
+    for tag in preconds:
+        _parse_precond(tag, omega)
 
 
 def axis_permute(field: OrthotropicField, axis: Axis) -> OrthotropicField:
@@ -187,10 +192,9 @@ def _prepare(field, boundary, precond="fct", ref_mode="opt", precision="f64", om
 
 
 def _solve(sys, apply_m, stub, b, rtol, max_iter, exact=None):
-    """The one `pcg` call site: check rtol, solve with `b` as scratch, then
-    measure the L2 error against `exact` when given, else `kappa_eff`.
-    Returns the solution and the completed report."""
-    _check_settings(rtols=(rtol,))
+    """The one `pcg` call site: solve with `b` as scratch, then measure the
+    L2 error against `exact` when given, else `kappa_eff`. Returns the
+    solution and the completed report."""
     t1 = time.perf_counter()
     solution, report = pcg(
         lambda u: apply_operator(sys, u), apply_m, b, rtol, max_iter,
@@ -219,6 +223,7 @@ def homogenize(
 ) -> SolveReport:
     """Full effective-conductivity run: permute, assemble, pick reference
     constants, solve, reconstruct the outflow flux, average."""
+    _check_settings(rtols=(rtol,))
     sys, apply_m, stub = _prepare(field, boundary, precond, ref_mode, precision, omega)
     return _solve(sys, apply_m, stub, build_rhs(sys), rtol, max_iter)[1]
 
@@ -233,6 +238,7 @@ def solve_smooth(
     """Manufactured-solution run: Dirichlet data sampled from the closed-form
     solution on the z faces, volumetric source added, error measured against
     the exact samples."""
+    _check_settings(precision, ref_mode, (rtol,))
     field, exact, source = gen_smooth_problem(n)
     # boundary constants are placeholders; the actual data is sampled below
     sys, apply_m, stub = _prepare(
@@ -448,7 +454,7 @@ def channels_study(plan: ExperimentPlan) -> list:
     return rows
 
 
-def bench(n: int, precision: str = "f64", rounds: int = 10) -> dict:
+def bench(n: int, precision: str = "f64") -> dict:
     """Preparation/execution timing split for the core kernels at one size."""
     sys, apply_m, stub = _prepare(
         gen_center_ball(n, 10.0), BoundaryConfig(Axis.Z, 1.0, 0.0), precision=precision
@@ -459,13 +465,13 @@ def bench(n: int, precision: str = "f64", rounds: int = 10) -> dict:
     apply_m(r)
     apply_operator(sys, r)
     t0 = time.perf_counter()
-    for _ in range(rounds):
+    for _ in range(_BENCH_ROUNDS):
         apply_m(r)
-    precond_time = (time.perf_counter() - t0) / rounds
+    precond_time = (time.perf_counter() - t0) / _BENCH_ROUNDS
     t0 = time.perf_counter()
-    for _ in range(rounds):
+    for _ in range(_BENCH_ROUNDS):
         apply_operator(sys, r)
-    operator_time = (time.perf_counter() - t0) / rounds
+    operator_time = (time.perf_counter() - t0) / _BENCH_ROUNDS
     return {
         "n": n,
         "precision": precision,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ConfigError, GridSpec
-from .tpfa import DiscreteSystem, operator_diagonal, stencil_bands
+from .tpfa import DiscreteSystem, operator_diagonal
 from .transforms import fct_backward_batch, fct_forward_batch
 
 
@@ -96,7 +96,8 @@ class ReferenceParams:
 
 
 def coefficient_stats(sys: DiscreteSystem) -> CoefficientStats:
-    """Exact extremes over the stored transmissibility arrays.
+    """Exact extremes over the faces of the stored bands (their wrap entries
+    excluded) and over the Dirichlet layers.
 
     They are the extremes the DiscreteSystem check found, so no array is
     scanned again. Degenerate axes (no faces) contribute a neutral group. The
@@ -257,7 +258,7 @@ def _check_omega(omega: float) -> None:
 
 class SsorPreconditioner:
     """Symmetric over-relaxation sweeps. The triangles D/omega - L and
-    D/omega - U are built in f64 from the diagonal and `stencil_bands`, and
+    D/omega - U are built in f64 from the diagonal and the system's bands, and
     LU-factorized once with natural ordering (no fill for triangular input),
     so each apply is two substitution passes plus a diagonal scaling.
     """
@@ -270,7 +271,7 @@ class SsorPreconditioner:
         self.omega = float(omega)
         diag = operator_diagonal(sys).astype(np.float64)
         steps, bands = [0], [diag / omega]
-        for s, t in stencil_bands(sys):
+        for s, t in sys.bands():
             steps.append(s)
             bands.append(np.negative(t, dtype=np.float64))
         lower = sp.diags(bands, [-s for s in steps], format="csc")

@@ -1,18 +1,18 @@
 """Finite-volume two-point flux discretization of the mixed problem.
 
-The operator is kept matrix-free: a DiscreteSystem stores only the
-h-scaled face transmissibilities (harmonic means of adjacent scaled cells)
-plus the Dirichlet-face terms, and `apply_operator` evaluates the 7-point
-stencil directly on the flat x-fastest vector. It walks the grid in slabs of
-whole z-layers, about `_SLAB_BYTES` per array, so the fluxes of one slab live
-in one small buffer instead of a full-grid array: within a slab each axis is
-a flat offset (1, nx or nx*ny), its face fluxes are formed in one contiguous
-pass, and the fluxes that would wrap from the end of one grid line into the
-next are zeroed. The z-fluxes of a slab include the face-layer just below
-it. `stencil_bands` yields the same couplings as whole bands, one per flat
-offset, from which the SSOR baseline builds its triangles. Boundary
-potentials enter through the right-hand side with ghost values fixed at zero
-outside the domain.
+The operator is kept matrix-free: a DiscreteSystem stores the h-scaled face
+transmissibilities (harmonic means of adjacent scaled cells) plus the
+Dirichlet-face terms. Each axis is one n-long band over the flat x-fastest
+cell order: t[p] couples cells p and p+s, with flat step s = 1, nx or nx*ny,
+and is 0 where p+s leaves p's x-line, xy-plane or the grid. The stencil,
+its diagonal, the SSOR triangles and the dense oracle all read these bands
+through `DiscreteSystem.bands`; only this module writes them.
+
+`apply_operator` evaluates the 7-point stencil directly on the flat vector.
+It walks the grid in slabs of whole z-layers, about `_SLAB_BYTES` per
+array, so the fluxes of one slab live in one small buffer instead of a
+full-grid array. Boundary potentials enter through the right-hand side with
+ghost values fixed at zero outside the domain.
 """
 
 from __future__ import annotations
@@ -34,27 +34,42 @@ from .grid import (
 _SLAB_BYTES = 256 * 1024
 
 
-def _harmonic(inv_a: np.ndarray, inv_b: np.ndarray, h: float) -> np.ndarray:
+def _layout(grid: GridSpec) -> tuple:
+    """(s, line) of the x, y and z bands: the flat step s, and the run of
+    `line` cells (an x-line, an xy-plane, the grid) that the last s entries
+    of each run leave."""
+    nxy = grid.nx * grid.ny
+    return (1, grid.nx), (grid.nx, nxy), (nxy, grid.n_cells)
+
+
+def _split(t: np.ndarray, s: int, line: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the band `t` with one row per run of `line` cells: the faces
+    (the first line-s columns) and the wrap entries (the last s)."""
+    rows = t.reshape(-1, line)
+    return rows[:, : line - s], rows[:, line - s:]
+
+
+def _harmonic(inv_a: np.ndarray, inv_b: np.ndarray, h: float, out: np.ndarray) -> None:
     """Scaled harmonic means 2/(1/a + 1/b) / h^2 from the reciprocals of a
-    and b, in one new array.
+    and b, written into `out`.
 
     The reciprocal form cannot overflow where 2*a*b would, and it is bitwise
     symmetric in (a, b).
     """
-    t = np.add(inv_a, inv_b)
-    np.divide(2.0, t, out=t)
-    t /= t.dtype.type(h) ** 2
-    return t
+    np.add(inv_a, inv_b, out=out)
+    np.divide(2.0, out, out=out)
+    out /= out.dtype.type(h) ** 2
 
 
 class DiscreteSystem:
     """Assembled transmissibilities for the canonical z-oriented problem.
 
-    tx, ty, tz hold interior-face harmonic means, flat in x-fastest face
-    order with sizes (nx-1)*ny*nz, nx*(ny-1)*nz, nx*ny*(nz-1). t_in and
-    t_out hold 2*kz/hz^2 on the k=0 and k=nz-1 layers (size nx*ny each).
-    The stored arrays are frozen read-only, so the (min, max) of each
-    non-empty one, kept from the positivity check, stays valid for
+    tx, ty, tz are n-long bands: t[p] couples cells p and p+s (s = 1, nx,
+    nx*ny) and is 0 where p+s leaves p's x-line, xy-plane or the grid, that
+    is at i = nx-1, j = ny-1 and k = nz-1. t_in and t_out hold 2*kz/hz^2 on
+    the k=0 and k=nz-1 layers (size nx*ny each). The stored arrays are
+    frozen read-only, so the (min, max) over the faces of each axis that has
+    faces, kept from the positivity check, stays valid for
     `coefficient_stats`.
     """
 
@@ -68,20 +83,21 @@ class DiscreteSystem:
         self.t_in = np.ascontiguousarray(t_in).reshape(-1)
         self.t_out = np.ascontiguousarray(t_out).reshape(-1)
         self.boundary = boundary
-        nx, ny, nz = grid.nx, grid.ny, grid.nz
-        sizes = {
-            "tx": (self.tx, (nx - 1) * ny * nz),
-            "ty": (self.ty, nx * (ny - 1) * nz),
-            "tz": (self.tz, nx * ny * (nz - 1)),
-            "t_in": (self.t_in, nx * ny),
-            "t_out": (self.t_out, nx * ny),
-        }
+        n, nxy = grid.n_cells, grid.nx * grid.ny
+        checks = [(name, getattr(self, name), n, sl)
+                  for name, sl in zip(("tx", "ty", "tz"), _layout(grid))]
+        checks += [("t_in", self.t_in, nxy, None), ("t_out", self.t_out, nxy, None)]
         self._extremes = {}
-        for name, (arr, want) in sizes.items():
+        for name, arr, want, sl in checks:
             if arr.size != want:
                 raise ConfigError(f"{name} has {arr.size} entries, expected {want}")
-            if arr.size:
-                extremes = _positive_finite_extremes(arr)
+            faces = arr
+            if sl is not None:
+                faces, wraps = _split(arr, *sl)
+                if np.any(wraps):
+                    raise ConfigError(f"{name} must be 0 at its wrap entries")
+            if faces.size:
+                extremes = _positive_finite_extremes(faces)
                 if extremes is None:
                     raise ConfigError(f"{name} must be strictly positive")
                 self._extremes[name] = extremes
@@ -91,18 +107,14 @@ class DiscreteSystem:
     def dtype(self) -> np.dtype:
         return self.tx.dtype
 
-    # (nz, ny, nx-1) etc. views used by the stencil kernels
-    def faces_x(self) -> np.ndarray:
-        g = self.grid
-        return self.tx.reshape(g.nz, g.ny, g.nx - 1)
-
-    def faces_y(self) -> np.ndarray:
-        g = self.grid
-        return self.ty.reshape(g.nz, g.ny - 1, g.nx)
-
-    def faces_z(self) -> np.ndarray:
-        g = self.grid
-        return self.tz.reshape(g.nz - 1, g.ny, g.nx)
+    def bands(self) -> list:
+        """(s, t[:n-s]) for each axis of length > 1: the flat step and the
+        couplings of cells p and p+s. The operator's off-diagonals are -t at
+        offsets -s and +s."""
+        n = self.grid.n_cells
+        return [(s, t[: n - s])
+                for t, (s, line) in zip((self.tx, self.ty, self.tz), _layout(self.grid))
+                if line > s]
 
     def layer_in(self) -> np.ndarray:
         g = self.grid
@@ -124,87 +136,68 @@ def build_system(field: OrthotropicField, boundary: BoundaryConfig) -> DiscreteS
             "build_system expects axis z; permute the field first (pipeline.axis_permute)"
         )
     g = field.grid
-    faces = []
+    n = g.n_cells
+    bands = []
     inv, inv_of = None, None
-    for name, h, lo, hi in (
-        ("kx", g.hx, np.s_[:, :, :-1], np.s_[:, :, 1:]),
-        ("ky", g.hy, np.s_[:, :-1, :], np.s_[:, 1:, :]),
-        ("kz", g.hz, np.s_[:-1, :, :], np.s_[1:, :, :]),
-    ):
-        # one reciprocal cube alive at a time (the old one is dropped before
+    for name, h, (s, line) in zip(("kx", "ky", "kz"), (g.hx, g.hy, g.hz), _layout(g)):
+        # one reciprocal array alive at a time (the old one is dropped before
         # the next is made), reused while the components share an array
         k = getattr(field, name)
         if k is not inv_of:
             inv = None
-            inv, inv_of = np.reciprocal(k.reshape(g.shape)), k
-        faces.append(_harmonic(inv[lo], inv[hi], h))
+            inv, inv_of = np.reciprocal(k), k
+        t = np.empty(n, dtype=field.dtype)
+        _harmonic(inv[: n - s], inv[s:], h, t[: n - s])
+        _split(t, s, line)[1][...] = 0
+        bands.append(t)
     del inv
     kz = field.cube("kz")
     hz2 = field.dtype.type(g.hz) ** 2
     t_in = 2.0 * (kz[0] / hz2)
     t_out = 2.0 * (kz[-1] / hz2)
-    return DiscreteSystem(g, *faces, t_in, t_out, boundary)
+    return DiscreteSystem(g, *bands, t_in, t_out, boundary)
 
 
 def apply_operator(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
     """Matrix-free stencil product: difference fluxes over interior faces plus
     the Dirichlet-face contributions on the k=0 and k=nz-1 layers.
 
-    Works on the flat x-fastest vector, one slab of whole z-layers at a time
-    (`_SLAB_BYTES` per array, at least one layer), so the fluxes of a slab sit
-    in one small buffer that stays in cache. Along an axis with flat step s
-    (1, nx or nx*ny) the flux over the face between cells p and p+s is
-    t * (u[p+s] - u[p]), formed for every p of the slab in one contiguous pass.
-    The x- and y-lines lie inside a layer: where p is among the last s cells
-    of its line, p+s lies in the next line, so that flux is set to zero and
-    the others are scaled by the face array viewed as (lines, line - s). Then
-    out[s:] += flux and out[:-s] -= flux over the slab. The z-fluxes of slab
-    layers [k0, k1) cover the faces from layer k0-1 up to layer k1, so the
-    face-layer below the slab, which the slab before formed too, is formed
-    again with the same bits.
+    Works on the flat x-fastest vector, one slab [a, b) of whole z-layers at
+    a time (`_SLAB_BYTES` per array, at least one layer), so the fluxes of a
+    slab sit in one small buffer that stays in cache. For each band (s, t)
+    the faces p in [a-s, b) within [0, n-s) touch the slab; their fluxes
+    t[p] * (u[p+s] - u[p]) are formed in one contiguous pass, added to the
+    slab's cells p+s and then subtracted from its cells p. A face below the
+    slab is formed again, with the same bits, by the slab that holds its
+    lower cell.
 
     Each cell gets its terms in the order of the per-axis slice form (low
     face, then high face, for x, y and z, then the Dirichlet layers), so the
-    result equals that form bit for bit. Adding or subtracting the zero wrap
-    fluxes changes no bit of `out`, because `out` is never -0: it starts at
-    +0, and a sum or difference is -0 only where its first operand is.
+    result equals that form bit for bit. The wrap fluxes are t = 0 times a
+    difference, so they change no bit of `out` while `u` is finite: `out` is
+    never -0, since it starts at +0 and a sum or difference is -0 only where
+    its first operand is. A non-finite `u` next to a wrap gives NaN there.
     """
     g = sys.grid
     n = g.n_cells
     if u.size != n:
         raise ValueError(f"vector has {u.size} entries, expected {n}")
     u = u.reshape(-1)
-    nx, nxy, nz = g.nx, g.nx * g.ny, g.nz
+    nxy = g.nx * g.ny
     out = np.zeros(n, dtype=u.dtype)
-    layers = max(1, _SLAB_BYTES // (nxy * u.itemsize))
-    # layers + 1 face-layers for z; never more than the grid
-    flux = np.empty(min((layers + 1) * nxy, n), dtype=u.dtype)
-    inplane = [
-        (faces.reshape(-1, line - s), s, line)
-        for faces, s, line in ((sys.tx, 1, nx), (sys.ty, nx, nxy))
-        if faces.size
-    ]
-    for k0 in range(0, nz, layers):
-        k1 = min(k0 + layers, nz)
-        a, b = k0 * nxy, k1 * nxy
-        o = out[a:b]
-        for faces, s, line in inplane:
-            f = flux[: b - a - s]
-            np.subtract(u[a + s:b], u[a:b - s], out=f)
-            lines = flux[: b - a].reshape(-1, line)
-            lines[:, line - s:] = 0
-            lines[:, : line - s] *= faces[a // line:b // line]
-            o[s:] += f
-            o[:-s] -= f
-        if nz > 1:
-            # face-layers [j0, j1): the one below the slab and those inside it
-            j0, j1 = max(k0 - 1, 0), min(k1, nz - 1)
-            f = flux[: (j1 - j0) * nxy]
-            np.subtract(u[(j0 + 1) * nxy:(j1 + 1) * nxy], u[j0 * nxy:j1 * nxy], out=f)
-            f *= sys.tz[j0 * nxy:j1 * nxy]
-            lo = max(k0, 1) * nxy
-            out[lo:b] += f[: b - lo]
-            out[a:j1 * nxy] -= f[(k0 - j0) * nxy:]
+    slab = max(1, _SLAB_BYTES // (nxy * u.itemsize)) * nxy
+    # a slab's faces: its own and at most one layer below it
+    flux = np.empty(min(slab + nxy, n), dtype=u.dtype)
+    bands = sys.bands()
+    for a in range(0, n, slab):
+        b = min(a + slab, n)
+        for s, t in bands:
+            p0, p1 = max(a - s, 0), min(b, n - s)
+            f = flux[: p1 - p0]
+            np.subtract(u[p0 + s:p1 + s], u[p0:p1], out=f)
+            f *= t[p0:p1]
+            out[p0 + s:b] += f[: b - s - p0]
+            out[a:p1] -= f[a - p0:]
     out[:nxy] += sys.t_in * u[:nxy]
     out[n - nxy:] += sys.t_out * u[n - nxy:]
     return out
@@ -212,18 +205,14 @@ def apply_operator(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
 
 def operator_diagonal(sys: DiscreteSystem) -> np.ndarray:
     """Diagonal of the stencil operator (used by Jacobi and SSOR)."""
-    g = sys.grid
-    d = np.zeros(g.shape, dtype=sys.dtype)
-    tx, ty, tz = sys.faces_x(), sys.faces_y(), sys.faces_z()
-    d[:, :, 1:] += tx
-    d[:, :, :-1] += tx
-    d[:, 1:, :] += ty
-    d[:, :-1, :] += ty
-    d[1:, :, :] += tz
-    d[:-1, :, :] += tz
-    d[0] += sys.layer_in()
-    d[-1] += sys.layer_out()
-    return d.reshape(-1)
+    n, nxy = sys.grid.n_cells, sys.grid.nx * sys.grid.ny
+    d = np.zeros(n, dtype=sys.dtype)
+    for s, t in sys.bands():
+        d[s:] += t
+        d[:-s] += t
+    d[:nxy] += sys.t_in
+    d[n - nxy:] += sys.t_out
+    return d
 
 
 def build_rhs(
@@ -254,24 +243,6 @@ def add_source(sys: DiscreteSystem, b: np.ndarray, source) -> np.ndarray:
     if not np.all(np.isfinite(samples)):
         raise ValueError("source sampler returned non-finite values")
     return (b.reshape(grid.shape) + np.broadcast_to(samples, grid.shape)).reshape(-1)
-
-
-def stencil_bands(sys: DiscreteSystem):
-    """Yield (s, t) for each axis that has faces: the flat step s (1, nx or
-    nx*ny) and the n-s couplings t[p] between cells p and p+s, zero where
-    p+s wraps into the next grid line, as in `apply_operator`.
-
-    The operator's off-diagonals are -t at offsets -s and +s.
-    """
-    g = sys.grid
-    n, nx, nxy = g.n_cells, g.nx, g.nx * g.ny
-    for faces, s, line in ((sys.tx, 1, nx), (sys.ty, nx, nxy)):
-        if faces.size:
-            t = np.zeros(n, dtype=sys.dtype)
-            t.reshape(-1, line)[:, : line - s] = faces.reshape(-1, line - s)
-            yield s, t[: n - s]
-    if sys.tz.size:
-        yield nxy, sys.tz
 
 
 def reconstruct_boundary_flux(

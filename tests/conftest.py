@@ -47,6 +47,16 @@ def scale_field(field: OrthotropicField):
     return sx, sy, sz
 
 
+def band_views(grid: GridSpec, name: str, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(faces, wraps) of the n-long band `name` ("tx", "ty" or "tz") as views
+    of its (nz, ny, nx) cube: the faces below the last index of the band's
+    axis, shaped (nz, ny, nx-1), (nz, ny-1, nx) or (nz-1, ny, nx), and the
+    wrap entries at i = nx-1, j = ny-1 or k = nz-1."""
+    lead = (slice(None),) * "zyx".index(name[1])
+    v = t.reshape(grid.shape)
+    return v[lead + (slice(None, -1),)], v[lead + (slice(-1, None),)]
+
+
 def dct1d_ref_backward(uh: np.ndarray) -> np.ndarray:
     """Direct-summation backward transform (oracle; O(N^2))."""
     uh = np.asarray(uh, dtype=np.float64)

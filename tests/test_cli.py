@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import etchomo.cli
 import etchomo.preconditioner
 from etchomo import Axis, BoundaryConfig, gen_center_ball, gen_channels, homogenize, write_vox
 from etchomo.cli import build_parser, main
@@ -304,6 +305,23 @@ def test_solve_bad_precond_tag_exit_2(tmp_path, capsys, tag):
     err = capsys.readouterr().err
     assert err.startswith("etc: configuration error: ") and err.count("\n") == 1
     want = "omega must lie in" if tag == "ssor:3" else f"unknown preconditioner tag {tag!r}"
+    assert want in err
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [(["--precond", "bogus"], "unknown preconditioner tag 'bogus'"),
+     (["--precond", "ssor:3"], "omega must lie in"),
+     (["--rtol", "5"], "rtol must lie in")],
+)
+def test_solve_checks_settings_before_reading_input(tmp_path, capsys, monkeypatch, flags, want):
+    def unreachable(path):
+        raise AssertionError("read_vox ran before the settings were checked")
+
+    monkeypatch.setattr(etchomo.cli, "read_vox", unreachable)
+    assert main(["solve", str(tmp_path / "nothere.vox"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("etc: configuration error: ") and err.count("\n") == 1
     assert want in err
 
 

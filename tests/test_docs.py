@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -18,3 +19,14 @@ def test_readme_lists_every_root_export():
     }
     assert len(listed) == len(set(listed))
     assert set(listed) == exported
+
+
+def test_readme_module_references_resolve():
+    # every etchomo.<module>.<name>[.<attr>...] the README names exists
+    refs = set(re.findall(r"\betchomo\.(\w+)((?:\.\w+)+)", README.read_text()))
+    assert refs
+    for module, names in sorted(refs):
+        obj = importlib.import_module(f"etchomo.{module}")
+        for name in names[1:].split("."):
+            assert hasattr(obj, name), f"etchomo.{module}{names}"
+            obj = getattr(obj, name)

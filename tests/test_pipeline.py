@@ -150,6 +150,16 @@ class TestHomogenize:
         with pytest.raises(ConfigError, match="rtol must lie in"):
             homogenize(constant_field(2, 2, 2), boundary_z, rtol)
 
+    @pytest.mark.parametrize("rtol", [5.0, 0.0])
+    def test_rejects_rtol_before_any_setup(self, boundary_z, monkeypatch, rtol):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("set-up ran before rtol was checked")
+
+        monkeypatch.setattr(pipeline, "build_system", unreachable)
+        monkeypatch.setattr(pipeline, "axis_permute", unreachable)
+        with pytest.raises(ConfigError, match="rtol must lie in"):
+            homogenize(constant_field(2, 2, 2), boundary_z, rtol)
+
     def test_solve_smooth_rejects_unknown_settings(self):
         with pytest.raises(ConfigError):
             solve_smooth(8, precision="f16")
@@ -211,8 +221,9 @@ class TestBench:
 
         monkeypatch.setattr(pipeline, "_prepare", prepare)
         monkeypatch.setattr(pipeline, "apply_operator", first_call_slow("operator"))
-        doc = pipeline.bench(4, rounds=2)
-        assert calls == {"precond": 3, "operator": 3}
+        doc = pipeline.bench(4)
+        runs = pipeline._BENCH_ROUNDS + 1
+        assert calls == {"precond": runs, "operator": runs}
         assert doc["precond_apply_seconds"] < 0.1
         assert doc["operator_apply_seconds"] < 0.1
 

@@ -26,7 +26,9 @@ from etchomo.oracles import assemble_dense, reference_system
 from etchomo.preconditioner import JacobiPreconditioner, SsorPreconditioner
 from etchomo.tpfa import operator_diagonal
 
-from conftest import condition_estimate, constant_field, dense_block, random_field, scale_field
+from conftest import (
+    band_views, condition_estimate, constant_field, dense_block, random_field, scale_field,
+)
 
 
 def random_stats(rng) -> CoefficientStats:
@@ -80,7 +82,8 @@ class TestCoefficientStats:
         def scan(arr):
             return (float(arr.min()), float(arr.max())) if arr.size else (1.0, 1.0)
 
-        fresh = CoefficientStats(*scan(sys.tx), *scan(sys.ty), *scan(sys.tz),
+        faces = (band_views(sys.grid, name, getattr(sys, name))[0] for name in ("tx", "ty", "tz"))
+        fresh = CoefficientStats(*(v for t in faces for v in scan(t)),
                                  *scan(sys.t_in / 2.0), *scan(sys.t_out / 2.0))
         got = coefficient_stats(sys)
         for name in ("kx", "ky", "kz", "kin", "kout"):

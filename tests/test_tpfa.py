@@ -25,9 +25,9 @@ from etchomo import (
 )
 from etchomo.oracles import assemble_dense, dense_solve
 from etchomo import tpfa
-from etchomo.tpfa import operator_diagonal, stencil_bands
+from etchomo.tpfa import operator_diagonal
 
-from conftest import cell_centers, constant_field, random_field, scale_field
+from conftest import band_views, cell_centers, constant_field, random_field, scale_field
 
 
 def two_cell_system():
@@ -59,9 +59,10 @@ class TestBuildSystem:
     def test_homogeneous_values(self, boundary_z):
         n = 4
         sys = build_system(constant_field(n, n, n), boundary_z)
-        assert np.all(sys.tx == n**2)
-        assert np.all(sys.ty == n**2)
-        assert np.all(sys.tz == n**2)
+        for name in ("tx", "ty", "tz"):
+            faces, wraps = band_views(sys.grid, name, getattr(sys, name))
+            assert np.all(faces == n**2)
+            assert np.all(wraps == 0.0) and not np.any(np.signbit(wraps))
         assert np.all(sys.t_in == 2 * n**2)
         assert np.all(sys.t_out == 2 * n**2)
 
@@ -77,9 +78,10 @@ class TestBuildSystem:
         sys = build_system(f, boundary_z)
         sx, _, _ = scale_field(f)
         left, right = sx[:, :, :-1].ravel(), sx[:, :, 1:].ravel()
-        assert np.all(sys.tx >= np.minimum(left, right) - 1e-14)
-        assert np.all(sys.tx <= np.maximum(left, right) + 1e-14)
-        assert np.all(sys.tx <= 2 * np.minimum(left, right) + 1e-14)
+        tx = band_views(f.grid, "tx", sys.tx)[0].ravel()
+        assert np.all(tx >= np.minimum(left, right) - 1e-14)
+        assert np.all(tx <= np.maximum(left, right) + 1e-14)
+        assert np.all(tx <= 2 * np.minimum(left, right) + 1e-14)
 
     def test_large_f32_coefficients_do_not_overflow(self, boundary_z):
         f = constant_field(3, 3, 3, kx=1e20, ky=1e20, kz=1e20).astype(np.float32)
@@ -138,14 +140,16 @@ class TestApplyOperator:
 
 def slice_stencil(sys, u):
     """Per-axis slice form of the stencil, the reference for the flat-offset
-    kernel: fluxes over (nz, ny, nx) face views, applied in the same order."""
+    kernel: fluxes over the bands' (nz, ny, nx) face views, applied in the
+    same order."""
     v = u.reshape(sys.grid.shape)
     out = np.zeros_like(v)
-    for faces, hi, lo in (
-        (sys.faces_x(), np.s_[:, :, 1:], np.s_[:, :, :-1]),
-        (sys.faces_y(), np.s_[:, 1:, :], np.s_[:, :-1, :]),
-        (sys.faces_z(), np.s_[1:, :, :], np.s_[:-1, :, :]),
+    for name, hi, lo in (
+        ("tx", np.s_[:, :, 1:], np.s_[:, :, :-1]),
+        ("ty", np.s_[:, 1:, :], np.s_[:, :-1, :]),
+        ("tz", np.s_[1:, :, :], np.s_[:-1, :, :]),
     ):
+        faces = band_views(sys.grid, name, getattr(sys, name))[0]
         flux = np.subtract(v[hi], v[lo])
         flux *= faces
         out[hi] += flux
@@ -228,19 +232,33 @@ class TestStencilBits:
 
 
 class TestDiscreteSystemChecks:
-    # face and layer array sizes on a 3x2x4 grid
-    SIZES = {"tx": 16, "ty": 12, "tz": 18, "t_in": 6, "t_out": 6}
+    # band and layer array sizes on a 3x2x4 grid
+    GRID = GridSpec(3, 2, 4)
+    SIZES = {"tx": 24, "ty": 24, "tz": 24, "t_in": 6, "t_out": 6}
+    BANDS = ("tx", "ty", "tz")
+
+    def arrays(self):
+        """Valid arrays: ones, with the bands' wrap entries 0."""
+        arrays = {k: np.ones(n) for k, n in self.SIZES.items()}
+        for name in self.BANDS:
+            band_views(self.GRID, name, arrays[name])[1][...] = 0.0
+        return arrays
 
     def make(self, boundary, name, values):
-        arrays = {k: np.ones(n) for k, n in self.SIZES.items()}
+        arrays = self.arrays()
         arrays[name] = values
-        return DiscreteSystem(GridSpec(3, 2, 4), *arrays.values(), boundary)
+        return DiscreteSystem(self.GRID, *arrays.values(), boundary)
+
+    def test_accepts_valid_arrays(self, boundary_z):
+        DiscreteSystem(self.GRID, *self.arrays().values(), boundary_z)
 
     @pytest.mark.parametrize("name", list(SIZES))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, -np.inf])
     def test_rejects_bad_entry(self, name, bad, boundary_z):
-        values = np.ones(self.SIZES[name])
-        values[-1] = bad
+        values = self.arrays()[name]
+        # the last face of a band (its last entry is a wrap), or of a layer
+        target = band_views(self.GRID, name, values)[0] if name in self.BANDS else values
+        target[(-1,) * target.ndim] = bad
         with pytest.raises(ConfigError, match=f"^{name} must be strictly positive$"):
             self.make(boundary_z, name, values)
 
@@ -249,6 +267,15 @@ class TestDiscreteSystemChecks:
         want = self.SIZES[name]
         with pytest.raises(ConfigError, match=f"^{name} has {want + 1} entries, expected {want}$"):
             self.make(boundary_z, name, np.ones(want + 1))
+
+    @pytest.mark.parametrize("name", BANDS)
+    @pytest.mark.parametrize("where", [0, -1])
+    @pytest.mark.parametrize("bad", [1.0, np.nan, -np.inf])
+    def test_rejects_nonzero_wrap(self, name, where, bad, boundary_z):
+        values = self.arrays()[name]
+        band_views(self.GRID, name, values)[1][(where,) * 3] = bad
+        with pytest.raises(ConfigError, match=f"^{name} must be 0 at its wrap entries$"):
+            self.make(boundary_z, name, values)
 
 
 class TestRhs:
@@ -316,7 +343,7 @@ class TestDenseAssembly:
         rng = np.random.default_rng(8)
         sys = build_system(random_field(rng, 3, 4, 5), boundary_z)
         dense = assemble_dense(sys)
-        for s, t in stencil_bands(sys):
+        for s, t in sys.bands():
             assert np.array_equal(np.diagonal(dense, s), -t)
             assert np.array_equal(np.diagonal(dense, -s), -t)
 
@@ -345,7 +372,7 @@ class TestStencilBands:
         dense = assemble_dense(sys)
         rebuilt = np.diag(np.diag(dense))
         steps = []
-        for s, t in stencil_bands(sys):
+        for s, t in sys.bands():
             steps.append(s)
             assert t.dtype == dtype and t.shape == (n - s,)
             assert np.array_equal(np.diagonal(dense, s), -t)
