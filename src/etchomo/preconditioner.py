@@ -11,8 +11,8 @@ unit-upper sweep.
 
 Reference constants come either from a closed-form solution of the
 log-domain min-max program over the coefficient statistics ("opt") or are
-all ones ("one"). SSOR (from the stencil's bands), Jacobi, and the
-identity round out the baselines.
+all ones ("one"). SSOR (one factored triangle of the stencil's bands),
+Jacobi, and the identity round out the baselines.
 """
 
 from __future__ import annotations
@@ -257,11 +257,11 @@ def _check_omega(omega: float) -> None:
 
 
 class SsorPreconditioner:
-    """Symmetric over-relaxation sweeps. The triangles D/omega - L and
-    D/omega - U are built in f64 from the diagonal and the system's bands, and
-    LU-factorized once with natural ordering (no fill for triangular input),
-    so each apply is two substitution passes plus a diagonal scaling.
-    """
+    """Symmetric over-relaxation sweeps. The operator is symmetric, so the
+    upper triangle D/omega - U is the transpose of D/omega - L: only that lower
+    triangle is built (in f64, from the diagonal and the bands) and
+    LU-factorized once with natural ordering, and each apply is a solve, a
+    diagonal scaling and a transposed solve with the one factor."""
 
     def __init__(self, sys: DiscreteSystem, omega: float = 1.0):
         import scipy.sparse as sp
@@ -270,23 +270,21 @@ class SsorPreconditioner:
         _check_omega(omega)
         self.omega = float(omega)
         diag = operator_diagonal(sys).astype(np.float64)
-        steps, bands = [0], [diag / omega]
+        offsets, bands = [0], [diag / omega]
         for s, t in sys.bands():
-            steps.append(s)
+            offsets.append(-s)
             bands.append(np.negative(t, dtype=np.float64))
-        lower = sp.diags(bands, [-s for s in steps], format="csc")
-        upper = sp.diags(bands, steps, format="csc")
-        del bands  # the CSC triangles hold copies; free these before splu
+        lower = sp.diags(bands, offsets, format="csc")
+        del bands  # the CSC triangle holds copies; free these before splu
         self._diag = diag
-        self._fwd = spla.splu(lower, permc_spec="NATURAL")
-        self._bwd = spla.splu(upper, permc_spec="NATURAL")
+        self._lu = spla.splu(lower, permc_spec="NATURAL")
         self._dtype = sys.dtype
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         w = self.omega
-        y = self._fwd.solve(np.asarray(r, dtype=np.float64))
+        y = self._lu.solve(np.asarray(r, dtype=np.float64))
         y *= self._diag
-        y = self._bwd.solve(y)
+        y = self._lu.solve(y, trans="T")
         y *= (2.0 - w) / w
         return y.astype(self._dtype, copy=False)
 

@@ -3,6 +3,7 @@ import pytest
 
 from etchomo import Axis, BoundaryConfig, GridSpec, OrthotropicField
 from etchomo.grid import _center_vectors
+from etchomo.oracles import DENSE_GUARD
 
 
 @pytest.fixture
@@ -85,8 +86,8 @@ def condition_estimate(
     import scipy.linalg as sla
 
     mat = np.asarray(mat, dtype=np.float64)
-    if mat.shape[0] > 4096:
-        raise ValueError("eigen estimates capped at 4096 unknowns")
+    if mat.shape[0] > DENSE_GUARD:
+        raise ValueError(f"eigen estimates capped at {DENSE_GUARD} unknowns")
     if mat_ref is None:
         vals = sla.eigh(mat, eigvals_only=True)
     else:

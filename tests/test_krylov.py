@@ -189,6 +189,72 @@ class TestPcg:
             pcg(lambda u: u, identity_apply, np.ones(2), 1e-9, max_iter=0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestPcgBreakdown:
+    """Which inputs pcg rejects, and the iteration each rejection names. The
+    operator guard rejects z.w <= 100 eps |z| |w| with eps of the working
+    dtype; the preconditioner guard rejects r.M^-1 r <= 0."""
+
+    @staticmethod
+    def first_step(dtype, zw):
+        """pcg on b = e0 with M = I, so w = e0, and an operator whose first
+        product is z = (zw, 1): z.w = zw and |z| = |w| = 1 in either dtype."""
+        mat = np.array([[zw, 1.0], [1.0, 1.0]], dtype=dtype)
+        b = np.array([1.0, 0.0], dtype)
+        return pcg(lambda u: mat @ u, identity_apply, b, 1e-12, max_iter=1)[1]
+
+    def test_operator_product_just_above_the_guard_passes(self, dtype):
+        guard = dtype(100.0 * float(np.finfo(dtype).eps))
+        rep = self.first_step(dtype, np.nextafter(guard, dtype(np.inf)))
+        assert (rep.iterations, rep.converged) == (1, False)
+
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_operator_product_at_or_below_the_guard_breaks_down(self, dtype, below):
+        guard = dtype(100.0 * float(np.finfo(dtype).eps))
+        zw = np.nextafter(guard, dtype(0)) if below else guard
+        with pytest.raises(PcgBreakdownError, match="lost positivity at iteration 1$") as err:
+            self.first_step(dtype, zw)
+        assert err.value.iteration == 1
+
+    @pytest.mark.parametrize("mat", [np.zeros((2, 2)), -np.eye(2), np.diag([1.0, -1.0])],
+                             ids=["zero", "negative", "indefinite"])
+    def test_zero_or_negative_operator_product_breaks_down(self, dtype, mat):
+        mat = mat.astype(dtype)
+        with pytest.raises(PcgBreakdownError, match="lost positivity") as err:
+            pcg(lambda u: mat @ u, identity_apply, np.ones(2, dtype), 1e-12)
+        assert err.value.iteration == 1
+
+    def test_indefinite_preconditioner_at_iteration_0(self, dtype):
+        minv = np.diag([1.0, -4.0]).astype(dtype)
+        with pytest.raises(PcgBreakdownError, match="inner product not positive") as err:
+            pcg(lambda u: u, lambda r: minv @ r, np.array([0.1, 1.0], dtype), 1e-12)
+        assert err.value.iteration == 0
+
+    def test_indefinite_preconditioner_at_a_later_iteration(self, dtype):
+        # r0 = (1, 0.1) gives r0.M^-1 r0 = 0.96 > 0; after one step with
+        # A = diag(1, 2) the residual is (3/11, 15/22) and r.M^-1 r < 0
+        mat = np.diag([1.0, 2.0]).astype(dtype)
+        minv = np.diag([1.0, -4.0]).astype(dtype)
+        with pytest.raises(PcgBreakdownError, match="inner product not positive") as err:
+            pcg(lambda u: mat @ u, lambda r: minv @ r, np.array([1.0, 0.1], dtype), 1e-12)
+        assert err.value.iteration == 1
+
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_non_finite_residual_breaks_down(self, dtype, at):
+        # a NaN product passes the operator guard (NaN compares false) and
+        # then poisons the residual of that step
+        mat = np.diag([1.0, 2.0, 3.0]).astype(dtype)
+        calls = []
+
+        def apply_a(u):
+            calls.append(1)
+            return mat @ u if len(calls) < at else np.full_like(u, np.nan)
+
+        with pytest.raises(PcgBreakdownError, match="residual is not finite") as err:
+            pcg(apply_a, identity_apply, np.ones(3, dtype), 1e-12)
+        assert err.value.iteration == at
+
+
 class TestDenseSolve:
     def test_hand_case(self):
         x = dense_solve(np.array([[3.0, -1.0], [-1.0, 3.0]]), np.array([2.0, 2.0]))

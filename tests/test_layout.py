@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "etchomo"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "etchomo"
 SOLVE_MODULES = ("grid", "tpfa", "transforms", "preconditioner", "krylov", "pipeline")
 
 
@@ -31,3 +32,51 @@ def test_solve_modules_hold_no_oracle_or_test_only_code(module):
         if not named:
             unused.append(d.name)
     assert unused == []
+
+
+def _defaulted(fn: ast.FunctionDef, skip: int) -> list:
+    """(position, name) of each parameter of `fn` that has a default; the
+    position is None for keyword-only ones, and the first `skip` positional
+    parameters (self) are not counted."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A default that no call in src/, perfbench/ or tests/ ever overrides is a
+    constant dressed as a knob. Calls are matched by name, so a call through
+    *args or **kwargs counts as passing every parameter."""
+    knobs = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                fn, skip = node, 0
+            elif isinstance(node, ast.ClassDef):
+                fn = next((d for d in node.body if isinstance(d, ast.FunctionDef)
+                           and d.name == "__init__"), None)
+                skip = 1
+            else:
+                continue
+            if fn is not None and (params := _defaulted(fn, skip)):
+                knobs[node.name] = (path.stem, params)
+    passed = {name: set() for name in knobs}
+    for path in [p for d in ("src", "perfbench", "tests") for p in (ROOT / d).rglob("*.py")]:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name not in knobs:
+                continue
+            spread = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords)
+            for pos, arg in knobs[name][1]:
+                if spread or (pos is not None and pos < len(call.args)) or arg in {
+                        k.arg for k in call.keywords}:
+                    passed[name].add(arg)
+    dead = sorted(f"{module}.{name}({arg})" for name, (module, params) in knobs.items()
+                  for _, arg in params if arg not in passed[name])
+    assert dead == []

@@ -18,6 +18,7 @@ from etchomo import (
     compare_preconditioners,
     gen_center_ball,
     gen_channels,
+    gen_random_balls,
     homogenize,
     precision_study,
     run_convergence_study,
@@ -186,6 +187,22 @@ class TestHomogenize:
                 tracemalloc.stop()
         assert reports["x"].kappa_eff == reports["z"].kappa_eff
         assert abs(peaks["x"] - peaks["z"]) <= 0.1 * f.kx.nbytes
+
+    @pytest.mark.parametrize("precision, itemsize, bound", [("f64", 8, 8.7), ("f32", 4, 9.0)])
+    def test_solve_peak(self, precision, itemsize, bound, boundary_z):
+        # one warm solve of the seed-11 48^3 pack, counted in grid arrays of
+        # the solve vectors' dtype above the caller's field: assembly, the
+        # preconditioner and pcg's vectors (8.41 in f64, 8.72 in f32)
+        field = gen_random_balls(48, 40, 0.05, 0.15, 10.0, 11)
+        homogenize(field, boundary_z, precision=precision)  # warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            homogenize(field, boundary_z, precision=precision)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / (48**3 * itemsize) <= bound
 
     def test_solve_smooth_builds_no_coordinate_grids(self):
         # the source and the exact solution are sampled on broadcast

@@ -448,8 +448,9 @@ class TestClassicalBaselines:
         assert rep.relative_residuals[-1] <= 1e-8
 
     def test_ssor_setup_peak(self, boundary_z):
-        # the seed-11 48^3 pack: the triangles are built from the bands
-        # without a full matrix, so set-up stays below 32 f64 grid arrays
+        # the seed-11 48^3 pack: one triangle is built from the bands
+        # without a full matrix and factored once, so set-up stays below 24
+        # f64 grid arrays
         sys = build_system(gen_random_balls(48, 40, 0.05, 0.15, 10.0, 11), boundary_z)
         tracemalloc.start()
         try:
@@ -458,7 +459,7 @@ class TestClassicalBaselines:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - before) / (48**3 * 8) <= 32
+        assert (peak - before) / (48**3 * 8) <= 24
 
 
 class TestSsorBits:
@@ -483,27 +484,32 @@ class TestSsorBits:
         m = SsorPreconditioner(sys, omega)
         dense = assemble_dense(sys)
         d = operator_diagonal(sys).astype(np.float64)
-        want = (np.tril(dense, -1) + np.diag(d / omega), np.triu(dense, 1) + np.diag(d / omega))
-        assert len(seen) == 2
-        ref_lus = []
-        for (got, kwargs), ref, lu in zip(seen, want, (m._fwd, m._bwd)):
-            assert kwargs == {"permc_spec": "NATURAL"}
-            assert got.format == "csc" and got.dtype == np.float64
-            assert got.nnz == np.count_nonzero(ref)
-            assert np.array_equal(got.toarray(), ref)
-            ref_lu = splu(sp.csc_matrix(ref), permc_spec="NATURAL")
-            for mine, theirs in ((lu.L, ref_lu.L), (lu.U, ref_lu.U)):
-                mine, theirs = mine.tocsc(), theirs.tocsc()
-                for attr in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(mine, attr), getattr(theirs, attr))
-            assert np.array_equal(lu.perm_r, ref_lu.perm_r)
-            assert np.array_equal(lu.perm_c, ref_lu.perm_c)
-            ref_lus.append(ref_lu)
+        lower = np.tril(dense, -1) + np.diag(d / omega)
+        # the lower triangle is built and factored once, and only its factor is kept
+        [(got, kwargs)] = seen
+        assert kwargs == {"permc_spec": "NATURAL"}
+        assert got.format == "csc" and got.dtype == np.float64
+        assert got.nnz == np.count_nonzero(lower)
+        assert np.array_equal(got.toarray(), lower)
+        ref_lu = splu(sp.csc_matrix(lower), permc_spec="NATURAL")
+        for mine, theirs in ((m._lu.L, ref_lu.L), (m._lu.U, ref_lu.U)):
+            mine, theirs = mine.tocsc(), theirs.tocsc()
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(mine, attr), getattr(theirs, attr))
+        assert np.array_equal(m._lu.perm_r, ref_lu.perm_r)
+        assert np.array_equal(m._lu.perm_c, ref_lu.perm_c)
+        assert [k for k, v in vars(m).items() if isinstance(v, spla.SuperLU)] == ["_lu"]
         r = rng.standard_normal(sys.grid.n_cells).astype(dtype)
-        y = ref_lus[0].solve(r.astype(np.float64))
-        y *= d
-        y = ref_lus[1].solve(y)
+        scaled = ref_lu.solve(r.astype(np.float64))
+        scaled *= d
+        y = ref_lu.solve(scaled, trans="T")
         y *= (2.0 - omega) / omega
         got = m(r)
         assert got.dtype == dtype
         assert np.array_equal(got, y.astype(dtype))
+        # the two-factor form, whose backward sweep uses a factor of the upper
+        # triangle D/omega - U, gives the same f64 apply to rounding
+        upper = np.triu(dense, 1) + np.diag(d / omega)
+        two = splu(sp.csc_matrix(upper), permc_spec="NATURAL").solve(scaled)
+        two *= (2.0 - omega) / omega
+        assert np.linalg.norm(y - two) <= 1e-13 * np.linalg.norm(two)
