@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="input .vox path")
     _add_solver_flags(p)
     p.add_argument("--precond", default="fct", help="tag fct|ssor|ssor:<omega>|jacobi|none")
-    p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument("--omega", type=float, default=None, help="a bare ssor tag becomes ssor:<omega>")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument("--history", default=None, help="write the residual CSV here")
 
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="tag fct|ssor|ssor:<omega>|jacobi|none (repeatable)",
     )
-    p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument("--omega", type=float, default=None, help="a bare ssor tag becomes ssor:<omega>")
     p.add_argument("-o", dest="output", required=True, help="output directory")
 
     p = sub.add_parser("channels", help="anisotropy sweep over reference modes")
@@ -166,14 +166,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _ssor_tags(tags, omega) -> tuple:
+    """`--omega`, when set, rewrites each bare `ssor` tag to `ssor:<omega>`."""
+    return tuple(f"ssor:{omega!r}" if tag == "ssor" and omega is not None else tag
+                 for tag in tags)
+
+
 def cmd_solve(args) -> int:
+    (precond,) = _ssor_tags([args.precond], args.omega)
     # a bad setting exits 2 before the input is read
-    pipeline._check_settings(args.precision, args.ref, (args.rtol,), (args.precond,), args.omega)
+    pipeline._check_settings(args.precision, args.ref, (args.rtol,), (precond,))
     field = read_vox(args.input)
     boundary = BoundaryConfig(Axis(args.axis), args.p_in, args.p_out)
     report = pipeline.homogenize(
-        field, boundary, args.rtol, args.precond, args.ref,
-        args.precision, args.omega, args.max_iter,
+        field, boundary, args.rtol, precond, args.ref, args.precision, args.max_iter
     )
     doc = pipeline.report_to_dict(
         report, {"input": str(args.input)}, field.grid, boundary, args.rtol
@@ -194,9 +200,7 @@ def _plan(args, params: dict, **overrides) -> ExperimentPlan:
     fields = dict(
         generator=args.config,
         params=params,
-        axis=Axis(args.axis),
-        p_in=args.p_in,
-        p_out=args.p_out,
+        boundary=BoundaryConfig(Axis(args.axis), args.p_in, args.p_out),
         rtols=(args.rtol,),
         ref_mode=args.ref,
         precision=args.precision,
@@ -219,8 +223,7 @@ def cmd_compare(args) -> int:
     plan = _plan(
         args,
         _generator_params(args),
-        preconds=tuple(args.precond or ["fct", "ssor", "jacobi", "none"]),
-        omega=args.omega,
+        preconds=_ssor_tags(args.precond or ["fct", "ssor", "jacobi", "none"], args.omega),
     )
     reports = pipeline.compare_preconditioners(plan)
     failed = False

@@ -60,7 +60,7 @@ def pcg(
     left untouched unless `overwrite_b` is true; then it holds the running
     residual, which saves a grid array for callers that no longer need b.
     """
-    if rtol <= 0.0:
+    if not rtol > 0.0:
         raise ValueError("rtol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")

@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .grid import Axis, BoundaryConfig, ConfigError, GridSpec, OrthotropicField
-from .pipeline import _prepare, _solve
+from .grid import ConfigError, GridSpec, OrthotropicField
+from .pipeline import _Z_BOUNDARY, _prepare, _solve
 from .preconditioner import (
     CoefficientStats,
     FctPreconditioner,
@@ -89,7 +89,7 @@ def reference_system(grid: GridSpec, refs: ReferenceParams) -> DiscreteSystem:
         *bands,
         np.full(nxy, 2.0 * refs.kin_ref, dtype=np.float64),
         np.full(nxy, 2.0 * refs.kout_ref, dtype=np.float64),
-        BoundaryConfig(Axis.Z, 1.0, 0.0),
+        _Z_BOUNDARY,
     )
 
 
@@ -128,7 +128,7 @@ def check_dense_solver(max_n: int, rng) -> tuple[bool, str]:
     for _ in range(5):
         dims = rng.integers(2, max_n + 1, 3)
         field = _random_field(rng, *map(int, dims), contrast=100.0)
-        sys, apply_m, stub = _prepare(field, BoundaryConfig(Axis.Z, 1.0, 0.0))
+        sys, apply_m, stub = _prepare(field, _Z_BOUNDARY)
         b = build_rhs(sys)
         direct = dense_solve(assemble_dense(sys), b)
         iterative, _ = _solve(sys, apply_m, stub, b, 1e-12, 1024)

@@ -1,18 +1,21 @@
 """End-to-end homogenization runs and the desk-scale experiment drivers.
 
-Every solve goes through one core: `_prepare` checks the settings, moves the
-Dirichlet axis to z, casts, assembles, picks the reference constants and
-builds the preconditioner; `_solve` runs `pcg`, times it and fills the
-report. The drivers check rtol before any set-up. `homogenize`,
-`solve_smooth` and the dense-solver oracle differ only in the field and the
-right-hand side they hand over; `bench` times the operator and the
-preconditioner that `_prepare` built. The permuted or cast copy of the field
-lives only inside `_prepare`, so it is freed before the solve starts.
+Each solver setting has one spelling and one check. SSOR's omega is named only
+by its tag (`ssor:1.5`; a bare `ssor` is 1). `_check_settings` runs when a plan
+is built, and in `homogenize`, `solve_smooth` and `bench` before any set-up.
+Every solve then goes through one core: `_prepare` moves the Dirichlet axis to
+z, casts, assembles, picks the reference constants and builds the
+preconditioner; `_solve` runs `pcg`, times it and fills the report.
+`homogenize`, `solve_smooth` and the dense-solver oracle differ only in the
+field and the right-hand side they hand over; `bench` times the operator and
+the preconditioner that `_prepare` built. The permuted or cast copy of the
+field lives only inside `_prepare`, so it is freed before the solve starts.
 
-The four studies each take an `ExperimentPlan`, build every field through
-`make_field` and solve every run through `_run`, which forms the boundary
-from the plan and calls `homogenize`. Each CSV table takes its header from
-the keys of its first row.
+The four studies each take an `ExperimentPlan`, whose `boundary` is the
+`BoundaryConfig` that `homogenize` takes; they build every field through
+`make_field` and solve every run through `_run`. The smooth convergence study
+fixes its own z-face data, so it refuses any other boundary. Each CSV table
+takes its header from the keys of its first row.
 
 Axis handling works by physically permuting the voxel data so the requested
 Dirichlet direction becomes the canonical z; the discretization and the
@@ -66,6 +69,8 @@ from .tpfa import (
 )
 
 _DTYPES = {"f64": np.float64, "f32": np.float32}
+# the boundary of a plan that names none, and the one the smooth problem fixes
+_Z_BOUNDARY = BoundaryConfig(Axis.Z, 1.0, 0.0)
 # timed applies per kernel in `bench`, after one untimed warm-up call
 _BENCH_ROUNDS = 10
 
@@ -76,32 +81,24 @@ class ExperimentPlan:
 
     generator: str
     params: dict = dc_field(default_factory=dict)
-    axis: Axis = Axis.Z
-    p_in: float = 1.0
-    p_out: float = 0.0
+    boundary: BoundaryConfig = _Z_BOUNDARY
     rtols: tuple = (1e-9,)
     preconds: tuple = ("fct",)
     ref_mode: str = "opt"
     precision: str = "f64"
-    omega: float = 1.0
     max_iter: int = 1024
     out_dir: Path | None = None
 
     def __post_init__(self):
         if not self.rtols:
             raise ConfigError("plan needs at least one rtol")
-        _check_settings(self.precision, self.ref_mode, self.rtols, self.preconds, self.omega)
-        if self.p_in == self.p_out:
-            raise ConfigError("p_in must differ from p_out")
+        _check_settings(self.precision, self.ref_mode, self.rtols, self.preconds)
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
 
 
-def _check_settings(
-    precision: str = "f64", ref_mode: str = "opt", rtols=(), preconds=(), omega: float = 1.0
-) -> None:
-    """The one check of the solver settings shared by plans, `etc solve` and
-    the core."""
+def _check_settings(precision: str, ref_mode: str, rtols, preconds) -> None:
+    """The one check of precision, reference mode, rtols and precond tags."""
     for rt in rtols:
         if not 0.0 < rt < 1.0:
             raise ConfigError(f"rtol must lie in (0, 1), got {rt}")
@@ -110,7 +107,7 @@ def _check_settings(
     if ref_mode not in ("opt", "one"):
         raise ConfigError(f"ref mode must be opt or one, got {ref_mode!r}")
     for tag in preconds:
-        _parse_precond(tag, omega)
+        _parse_precond(tag)
 
 
 def axis_permute(field: OrthotropicField, axis: Axis) -> OrthotropicField:
@@ -139,34 +136,34 @@ def axis_permute(field: OrthotropicField, axis: Axis) -> OrthotropicField:
     return OrthotropicField(new_grid, kx, kz, ky)
 
 
-def _parse_precond(tag: str, default_omega: float) -> tuple[str, float]:
-    """Split a tag fct|jacobi|none|ssor|ssor:<omega> into kind and omega,
-    and check an SSOR omega."""
-    if tag in ("fct", "jacobi", "none"):
-        return tag, default_omega
-    kind, sep, value = tag.partition(":")
+def _parse_precond(tag: str) -> tuple[str, float]:
+    """Split a tag fct|jacobi|none|ssor|ssor:<omega> into kind and SSOR
+    omega (1 for a bare ssor), and check that omega."""
+    if tag in ("fct", "jacobi", "none", "ssor"):
+        return tag, 1.0
+    kind, _, value = tag.partition(":")
     if kind == "ssor":
         try:
-            omega = float(value) if sep else default_omega
+            omega = float(value)
         except ValueError:
             pass
         else:
             _check_omega(omega)
-            return "ssor", omega
+            return kind, omega
     raise ConfigError(f"unknown preconditioner tag {tag!r}")
 
 
-def _prepare(field, boundary, precond="fct", ref_mode="opt", precision="f64", omega=1.0):
-    """Shared set-up of every solve: check the settings, permute, cast,
-    assemble, pick the reference constants and build the preconditioner.
+def _prepare(field, boundary, precond="fct", ref_mode="opt", precision="f64"):
+    """Shared set-up of every solve, on settings that its caller has checked:
+    permute, cast, assemble, pick the reference constants and build the
+    preconditioner.
 
     Returns the system, the preconditioner and a report stub carrying the
     set-up time, precision, preconditioner tag and reference constants,
     which `_solve` completes. The permuted or cast field is a local here, so
     it is gone once the system is built.
     """
-    _check_settings(precision, ref_mode)
-    kind, omega = _parse_precond(precond, omega)
+    kind, omega = _parse_precond(precond)
     dtype = _DTYPES[precision]
     t0 = time.perf_counter()
     canon = BoundaryConfig(Axis.Z, boundary.p_in, boundary.p_out)
@@ -218,13 +215,12 @@ def homogenize(
     precond: str = "fct",
     ref_mode: str = "opt",
     precision: str = "f64",
-    omega: float = 1.0,
     max_iter: int = 1024,
 ) -> SolveReport:
     """Full effective-conductivity run: permute, assemble, pick reference
     constants, solve, reconstruct the outflow flux, average."""
-    _check_settings(rtols=(rtol,))
-    sys, apply_m, stub = _prepare(field, boundary, precond, ref_mode, precision, omega)
+    _check_settings(precision, ref_mode, (rtol,), (precond,))
+    sys, apply_m, stub = _prepare(field, boundary, precond, ref_mode, precision)
     return _solve(sys, apply_m, stub, build_rhs(sys), rtol, max_iter)[1]
 
 
@@ -238,12 +234,10 @@ def solve_smooth(
     """Manufactured-solution run: Dirichlet data sampled from the closed-form
     solution on the z faces, volumetric source added, error measured against
     the exact samples."""
-    _check_settings(precision, ref_mode, (rtol,))
+    _check_settings(precision, ref_mode, (rtol,), ())
     field, exact, source = gen_smooth_problem(n)
     # boundary constants are placeholders; the actual data is sampled below
-    sys, apply_m, stub = _prepare(
-        field, BoundaryConfig(Axis.Z, 1.0, 0.0), "fct", ref_mode, precision
-    )
+    sys, apply_m, stub = _prepare(field, _Z_BOUNDARY, "fct", ref_mode, precision)
     del field
     grid = sys.grid
     x, y, _ = _center_vectors(grid)
@@ -350,9 +344,9 @@ def _run(plan: ExperimentPlan, field: OrthotropicField, **settings) -> SolveRepo
     """One study solve: `homogenize` on the plan's boundary and settings, with
     the study's own `settings` (rtol, precond, ref_mode, precision) on top."""
     kwargs = dict(rtol=plan.rtols[0], precond="fct", ref_mode=plan.ref_mode,
-                  precision=plan.precision, omega=plan.omega, max_iter=plan.max_iter)
+                  precision=plan.precision, max_iter=plan.max_iter)
     kwargs.update(settings)
-    return homogenize(field, BoundaryConfig(plan.axis, plan.p_in, plan.p_out), **kwargs)
+    return homogenize(field, plan.boundary, **kwargs)
 
 
 def run_convergence_study(plan: ExperimentPlan) -> list:
@@ -360,6 +354,9 @@ def run_convergence_study(plan: ExperimentPlan) -> list:
     conductivity (inclusion cases), with iteration counts and timings."""
     if plan.generator not in ("smooth", "center-ball"):
         raise ConfigError("convergence study supports smooth or center-ball")
+    if plan.generator == "smooth" and plan.boundary != _Z_BOUNDARY:
+        raise ConfigError("the smooth problem fixes its own z-face data; "
+                          "it takes only the default boundary (z, 1, 0)")
     n_values = plan.params.get("n_values") or [plan.params.get("n", 32)]
     rows = []
     for n in n_values:
@@ -456,9 +453,8 @@ def channels_study(plan: ExperimentPlan) -> list:
 
 def bench(n: int, precision: str = "f64") -> dict:
     """Preparation/execution timing split for the core kernels at one size."""
-    sys, apply_m, stub = _prepare(
-        gen_center_ball(n, 10.0), BoundaryConfig(Axis.Z, 1.0, 0.0), precision=precision
-    )
+    _check_settings(precision, "opt", (), ())
+    sys, apply_m, stub = _prepare(gen_center_ball(n, 10.0), _Z_BOUNDARY, precision=precision)
     r = build_rhs(sys)
     # untimed first calls: the first FCT apply factors the tridiagonal blocks
     # and imports scipy.fft, which no later apply pays again

@@ -60,7 +60,7 @@ def compare_report(kind: str, n: int, precond: str):
         preset = dict(RANDOM_BALL_PRESETS["a"])
         field = gen_random_balls(n, preset["count"], preset["r_min"],
                                  preset["r_max"], 100.0, preset["seed"])
-    return homogenize(field, BND, 1e-5, precond, "opt", "f64", 1.0, 1024)
+    return homogenize(field, BND, 1e-5, precond, "opt", "f64", 1024)
 
 
 def test_criterion_01_smooth_table():

@@ -1,9 +1,13 @@
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import etchomo
+from etchomo.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +34,24 @@ def test_readme_module_references_resolve():
         for name in names[1:].split("."):
             assert hasattr(obj, name), f"etchomo.{module}{names}"
             obj = getattr(obj, name)
+
+
+def _blocks(lang: str) -> list:
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+@pytest.mark.parametrize("index", range(len(_blocks("python"))))
+def test_readme_python_blocks_run(index):
+    exec(compile(_blocks("python")[index], f"README.md python block {index}", "exec"), {})
+
+
+def _etc_lines() -> list:
+    joined = "\n".join(_blocks("sh")).replace("\\\n", " ")
+    return [line.strip() for line in joined.splitlines() if line.strip().startswith("etc ")]
+
+
+def test_readme_etc_lines_parse():
+    lines = _etc_lines()
+    assert len(lines) == 8
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])

@@ -183,8 +183,9 @@ class TestPcg:
         assert (rep.preconditioner, rep.precision) == ("jacobi", "f32")
 
     def test_rejects_bad_controls(self):
-        with pytest.raises(ValueError):
-            pcg(lambda u: u, identity_apply, np.ones(2), -1.0)
+        for rtol in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="rtol must be positive"):
+                pcg(lambda u: u, identity_apply, np.ones(2), rtol)
         with pytest.raises(ValueError):
             pcg(lambda u: u, identity_apply, np.ones(2), 1e-9, max_iter=0)
 

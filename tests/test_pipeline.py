@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import time
 import tracemalloc
@@ -25,6 +27,7 @@ from etchomo import (
     solve_smooth,
 )
 from etchomo import pipeline
+from etchomo.cli import main
 from etchomo.pipeline import report_to_dict, write_history, write_report
 from etchomo.preconditioner import SsorPreconditioner
 
@@ -87,7 +90,7 @@ class TestHomogenize:
 
     def test_report_metadata(self, boundary_z):
         rep = homogenize(gen_center_ball(8, 10.0), boundary_z, 1e-7,
-                         precond="ssor", omega=1.5, precision="f64")
+                         precond="ssor:1.5", precision="f64")
         assert rep.preconditioner == "ssor:1.5"
         assert rep.precision == "f64"
         assert rep.converged
@@ -111,13 +114,12 @@ class TestHomogenize:
         with pytest.raises(ConfigError, match="^unknown preconditioner tag"):
             ExperimentPlan("center-ball", preconds=("fct", tag))
 
-    @pytest.mark.parametrize("tag, omega, bad", [
-        ("ssor:3", 1.0, 3.0), ("ssor:0", 1.0, 0.0), ("ssor:-1", 1.0, -1.0),
-        ("ssor:2", 1.0, 2.0), ("ssor:nan", 1.0, float("nan")), ("ssor", 2.5, 2.5),
-        ("ssor", 0.0, 0.0),
+    @pytest.mark.parametrize("tag, bad", [
+        ("ssor:3", 3.0), ("ssor:0", 0.0), ("ssor:-1", -1.0), ("ssor:2", 2.0),
+        ("ssor:nan", float("nan")), ("ssor:2.5", 2.5), ("ssor:0.0", 0.0),
     ])
     def test_rejects_omega_outside_open_interval_before_solving(
-        self, boundary_z, monkeypatch, tag, omega, bad
+        self, boundary_z, monkeypatch, tag, bad
     ):
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve started")
@@ -125,25 +127,28 @@ class TestHomogenize:
         monkeypatch.setattr(pipeline, "pcg", no_solve)
         message = f"^omega must lie in \\(0, 2\\), got {bad}$"
         with pytest.raises(ConfigError, match=message):
-            ExperimentPlan("center-ball", preconds=("fct", tag), omega=omega)
+            ExperimentPlan("center-ball", preconds=("fct", tag))
         with pytest.raises(ConfigError, match=message):
-            homogenize(constant_field(2, 2, 2), boundary_z, precond=tag, omega=omega)
-        if tag == "ssor":
-            sys = build_system(constant_field(2, 2, 2), boundary_z)
-            with pytest.raises(ConfigError, match=message):
-                SsorPreconditioner(sys, omega)
+            homogenize(constant_field(2, 2, 2), boundary_z, precond=tag)
+        sys = build_system(constant_field(2, 2, 2), boundary_z)
+        with pytest.raises(ConfigError, match=message):
+            SsorPreconditioner(sys, bad)
 
-    def test_fct_and_jacobi_ignore_omega(self, boundary_z):
-        plan = ExperimentPlan("center-ball", preconds=("fct", "jacobi", "none"), omega=2.5)
-        assert plan.omega == 2.5
-        rep = homogenize(gen_center_ball(6, 10.0), boundary_z, 1e-7, precond="fct", omega=7.0)
-        assert rep.preconditioner == "fct" and rep.converged
+    def test_only_ssor_tags_carry_omega(self, boundary_z):
+        # the tag is the one spelling of omega: no driver or plan takes it apart
+        assert "omega" not in inspect.signature(homogenize).parameters
+        assert "omega" not in {f.name for f in dataclasses.fields(ExperimentPlan)}
+        plan = ExperimentPlan("center-ball", preconds=("fct", "jacobi", "none", "ssor:1.9"))
+        assert plan.preconds == ("fct", "jacobi", "none", "ssor:1.9")
+        with pytest.raises(ConfigError, match="^unknown preconditioner tag 'jacobi:1.5'"):
+            homogenize(constant_field(2, 2, 2), boundary_z, precond="jacobi:1.5")
 
-    @pytest.mark.parametrize("tag, omega, want", [
-        ("ssor", 1.3, "ssor:1.3"), ("ssor:1.5", 1.0, "ssor:1.5"), ("ssor:0.8", 1.5, "ssor:0.8"),
+    @pytest.mark.parametrize("tag, want", [
+        ("ssor", "ssor:1"), ("ssor:1.0", "ssor:1"), ("ssor:1.5", "ssor:1.5"),
+        ("ssor:0.8", "ssor:0.8"),
     ])
-    def test_ssor_tags(self, boundary_z, tag, omega, want):
-        rep = homogenize(gen_center_ball(6, 10.0), boundary_z, 1e-7, precond=tag, omega=omega)
+    def test_ssor_tags(self, boundary_z, tag, want):
+        rep = homogenize(gen_center_ball(6, 10.0), boundary_z, 1e-7, precond=tag)
         assert rep.preconditioner == want and rep.converged
 
     @pytest.mark.parametrize("rtol", [1.0, 1.5, 0.0, -1e-9, float("nan")])
@@ -251,10 +256,53 @@ class TestExperimentPlan:
             ExperimentPlan("center-ball", rtols=())
         with pytest.raises(ConfigError):
             ExperimentPlan("center-ball", rtols=(2.0,))
-        with pytest.raises(ConfigError):
-            ExperimentPlan("center-ball", p_in=1.0, p_out=1.0)
+        with pytest.raises(ConfigError, match="p_in must differ from p_out"):
+            ExperimentPlan("center-ball", boundary=BoundaryConfig(Axis.Z, 1.0, 1.0))
+        with pytest.raises(ConfigError, match="must be finite"):
+            ExperimentPlan("center-ball", boundary=BoundaryConfig(Axis.Z, float("nan"), 0.0))
         with pytest.raises(ConfigError):
             ExperimentPlan("center-ball", precision="f16")
+
+
+class TestPlanBoundary:
+    """The plan's boundary is one BoundaryConfig: checked when the plan is
+    built, and refused by a study that cannot honour it."""
+
+    @pytest.mark.parametrize("boundary", [
+        BoundaryConfig(Axis.X, 1.0, 0.0), BoundaryConfig(Axis.Z, 7.0, 0.0),
+        BoundaryConfig(Axis.Z, 0.0, 1.0),
+    ])
+    def test_smooth_convergence_refuses_other_boundaries(self, monkeypatch, tmp_path, boundary):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a smooth solve started")
+
+        monkeypatch.setattr(pipeline, "solve_smooth", unreachable)
+        plan = ExperimentPlan("smooth", {"n_values": [8]}, boundary=boundary, out_dir=tmp_path)
+        with pytest.raises(ConfigError, match="takes only the default boundary"):
+            run_convergence_study(plan)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [["--axis", "x"], ["--axis", "z", "--p-in", "7"]])
+    def test_cli_smooth_convergence_off_default_boundary_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "conv"
+        code = main(["convergence", "--config", "smooth", "--n", "8", *flags, "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "takes only the default boundary" in err
+        assert not out.exists()
+
+    def test_cli_compare_nan_potential_exit_2_before_any_field(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("make_field ran before the boundary was checked")
+
+        monkeypatch.setattr(pipeline, "make_field", unreachable)
+        out = tmp_path / "cmp"
+        code = main(["compare", "--config", "center-ball", "--n", "6", "--p-in", "nan",
+                     "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "etc: configuration error: p_in and p_out must be finite\n"
+        assert not out.exists()
 
 
 class TestStudies:
@@ -357,7 +405,7 @@ class TestStudies:
     def test_channels_study_follows_the_plan_axis(self):
         plan = ExperimentPlan(
             "channels", {"psi": 1.0, "cells_per_period": 8, "periods": 1},
-            axis=Axis.X, rtols=(1e-6,),
+            boundary=BoundaryConfig(Axis.X, 1.0, 0.0), rtols=(1e-6,),
         )
         opt = channels_study(plan)[0]
         want = homogenize(gen_channels(8, 1, 1.0), BoundaryConfig(Axis.X, 1.0, 0.0), 1e-6)
