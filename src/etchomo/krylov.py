@@ -56,9 +56,11 @@ def pcg(
     beyond the results of apply_A and apply_M_inv. pcg scales the array that
     apply_A returns (after copying it if it shares memory with a work vector)
     and only reads the one apply_M_inv returns, so either may hand back its
-    argument or an internal buffer that it reuses on the next call. `b` is
-    left untouched unless `overwrite_b` is true; then it holds the running
-    residual, which saves a grid array for callers that no longer need b.
+    argument or an internal buffer that it reuses on the next call. The two
+    may even share one buffer, since each result is dead before the other
+    callback runs. `b` is left untouched unless `overwrite_b` is true; then
+    it holds the running residual, which saves a grid array for callers that
+    no longer need b.
     """
     if not rtol > 0.0:
         raise ValueError("rtol must be positive")

@@ -24,7 +24,7 @@ from .preconditioner import (
     solve_reference_lp,
 )
 from .tpfa import DiscreteSystem, _layout, _split, apply_operator, build_rhs
-from .transforms import fct_backward_batch, fct_forward_batch
+from .transforms import _MATRIX_MAX_SIDE, fct_backward_batch, fct_forward_batch
 
 DENSE_GUARD = 4096
 
@@ -107,19 +107,22 @@ def _ref2d(v: np.ndarray) -> np.ndarray:
 
 def check_transforms(max_n: int, rng) -> tuple[bool, str]:
     sizes = sorted(set(list(range(1, max_n + 1)) + [8, 9]))
+    planes = [(ny, nx) for nx in sizes for ny in sizes]
+    # planes with a side past the product branch's limit run pocketfft
+    wide = _MATRIX_MAX_SIDE + 1
+    planes += [(_MATRIX_MAX_SIDE, _MATRIX_MAX_SIDE), (2, wide), (wide, 3)]
     worst = 0.0
-    for nx in sizes:
-        for ny in sizes:
-            for nz in (1, 3):
-                original = rng.standard_normal((nz, ny, nx))
-                coeff = fct_forward_batch(original)
-                for k in range(nz):
-                    want = _ref2d(original[k])
-                    scale = max(float(np.max(np.abs(want))), 1e-30)
-                    worst = max(worst, float(np.max(np.abs(coeff[k] - want))) / scale)
-                back = fct_backward_batch(coeff)
-                scale = float(np.max(np.abs(original)))
-                worst = max(worst, float(np.max(np.abs(back - original))) / scale)
+    for ny, nx in planes:
+        for nz in (1, 3):
+            original = rng.standard_normal((nz, ny, nx))
+            coeff = fct_forward_batch(original)
+            for k in range(nz):
+                want = _ref2d(original[k])
+                scale = max(float(np.max(np.abs(want))), 1e-30)
+                worst = max(worst, float(np.max(np.abs(coeff[k] - want))) / scale)
+            back = fct_backward_batch(coeff)
+            scale = float(np.max(np.abs(original)))
+            worst = max(worst, float(np.max(np.abs(back - original))) / scale)
     return worst <= 1e-12, f"worst relative deviation {worst:.3e}"
 
 

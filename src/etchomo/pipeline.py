@@ -93,6 +93,11 @@ class ExperimentPlan:
         if not self.rtols:
             raise ConfigError("plan needs at least one rtol")
         _check_settings(self.precision, self.ref_mode, self.rtols, self.preconds)
+        # the studies key their runs by tag, so `ssor` and `ssor:1` would
+        # collapse into one
+        parsed = [_parse_precond(tag) for tag in self.preconds]
+        if len(set(parsed)) < len(parsed):
+            raise ConfigError(f"repeated preconditioner in {list(self.preconds)}")
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
 
@@ -193,15 +198,19 @@ def _solve(sys, apply_m, stub, b, rtol, max_iter, exact=None):
     L2 error against `exact` when given, else `kappa_eff`. Returns the
     solution and the completed report."""
     t1 = time.perf_counter()
+    # the operator writes into the FCT workspace: pcg is done with each
+    # callback's result before it calls the other
+    out = apply_m.workspace if isinstance(apply_m, FctPreconditioner) else None
     solution, report = pcg(
-        lambda u: apply_operator(sys, u), apply_m, b, rtol, max_iter,
+        lambda u: apply_operator(sys, u, out=out), apply_m, b, rtol, max_iter,
         overwrite_b=True,
     )
     if exact is None:
         flux = reconstruct_boundary_flux(sys, solution)
         report.kappa_eff = effective_conductivity(sys, flux)
     else:
-        report.l2_error = l2_error_midpoint(sys.grid, solution.astype(np.float64), exact)
+        solution64 = solution.astype(np.float64, copy=False)
+        report.l2_error = l2_error_midpoint(sys.grid, solution64, exact)
     report.exec_seconds = time.perf_counter() - t1
     for name in ("prep_seconds", "precision", "preconditioner", "ref_params"):
         setattr(report, name, getattr(stub, name))

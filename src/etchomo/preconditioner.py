@@ -153,10 +153,13 @@ class FctPreconditioner:
     (ny, nx) plane views, one per layer, so the sweeps of
     `thomas_solve_batch` index no array per layer. The views share the
     factors' memory.
+
+    Every apply runs in one grid array, `workspace`, allocated on first use
+    and returned as the result; each apply overwrites it.
     """
 
     __slots__ = ("grid", "dtype", "plane_shift", "z_diag", "off", "_upper",
-                 "_last_pivot", "_upper_planes")
+                 "_last_pivot", "_upper_planes", "_work")
 
     def __init__(self, grid: GridSpec, refs: ReferenceParams, dtype=np.float64):
         self.grid = grid
@@ -179,6 +182,16 @@ class FctPreconditioner:
         self._upper = None
         self._last_pivot = None
         self._upper_planes = None
+        self._work = None
+
+    @property
+    def workspace(self) -> np.ndarray:
+        """The (nz, ny, nx) array every apply writes its result into. A caller
+        may use it as scratch between applies, e.g. for the operator's output
+        in PCG, since its contents are dead once the next apply starts."""
+        if self._work is None:
+            self._work = np.empty(self.grid.shape, dtype=self.dtype)
+        return self._work
 
     def elimination(self) -> tuple[np.ndarray, np.ndarray]:
         """The factors T = U^T D U of every block, computed once and cached.
@@ -210,11 +223,12 @@ class FctPreconditioner:
         return self._upper, self._last_pivot
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        """`r` is left untouched; the result is the one new grid array."""
+        """`r` is left untouched unless it is the workspace; the result is the
+        flat workspace, valid until the next apply."""
         r = np.asarray(r, dtype=self.dtype).reshape(self.grid.shape)
-        coeff = fct_forward_batch(r)
-        thomas_solve_batch(self, coeff)
-        return fct_backward_batch(coeff, overwrite=True).reshape(-1)
+        work = fct_forward_batch(r, out=self.workspace)
+        thomas_solve_batch(self, work)
+        return fct_backward_batch(work, out=work).reshape(-1)
 
 
 def _check_pivot(pivot: np.ndarray, k: int) -> None:

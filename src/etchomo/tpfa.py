@@ -158,14 +158,20 @@ def build_system(field: OrthotropicField, boundary: BoundaryConfig) -> DiscreteS
     return DiscreteSystem(g, *bands, t_in, t_out, boundary)
 
 
-def apply_operator(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
+def apply_operator(
+    sys: DiscreteSystem, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Matrix-free stencil product: difference fluxes over interior faces plus
     the Dirichlet-face contributions on the k=0 and k=nz-1 layers.
 
+    Returns a new flat array, or the flat view of `out` when it is given: a
+    contiguous array of u's size and dtype that does not overlap `u`.
+
     Works on the flat x-fastest vector, one slab [a, b) of whole z-layers at
     a time (`_SLAB_BYTES` per array, at least one layer), so the fluxes of a
-    slab sit in one small buffer that stays in cache. For each band (s, t)
-    the faces p in [a-s, b) within [0, n-s) touch the slab; their fluxes
+    slab sit in one small buffer that stays in cache. A slab writes only its
+    own cells of `out`, and zeroes them as it starts. For each band (s, t) the
+    faces p in [a-s, b) within [0, n-s) touch the slab; their fluxes
     t[p] * (u[p+s] - u[p]) are formed in one contiguous pass, added to the
     slab's cells p+s and then subtracted from its cells p. A face below the
     slab is formed again, with the same bits, by the slab that holds its
@@ -184,13 +190,20 @@ def apply_operator(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"vector has {u.size} entries, expected {n}")
     u = u.reshape(-1)
     nxy = g.nx * g.ny
-    out = np.zeros(n, dtype=u.dtype)
+    if out is None:
+        out = np.empty(n, dtype=u.dtype)
+    elif (out.size != n or out.dtype != u.dtype or not out.flags.c_contiguous
+          or np.may_share_memory(out, u)):
+        raise ValueError("out must be a contiguous array of u's size and dtype, apart from u")
+    else:
+        out = out.reshape(-1)
     slab = max(1, _SLAB_BYTES // (nxy * u.itemsize)) * nxy
     # a slab's faces: its own and at most one layer below it
     flux = np.empty(min(slab + nxy, n), dtype=u.dtype)
     bands = sys.bands()
     for a in range(0, n, slab):
         b = min(a + slab, n)
+        out[a:b] = 0
         for s, t in bands:
             p0, p1 = max(a - s, 0), min(b, n - s)
             f = flux[: p1 - p0]

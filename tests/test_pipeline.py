@@ -209,6 +209,40 @@ class TestHomogenize:
             tracemalloc.stop()
         assert (peak - before) / (48**3 * itemsize) <= bound
 
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("dims", [(24, 24, 1536), (96, 96, 96)], ids=["products", "pocketfft"])
+    def test_fct_iteration_allocates_no_grid_array(self, precision, dims, boundary_z, monkeypatch):
+        # from the second iteration on, the operator writes into the FCT
+        # workspace and each transform into it, so an iteration allocates
+        # only slab-sized buffers: the stencil's fluxes, the products' scratch
+        rng = np.random.default_rng(31)
+        field = random_field(rng, *dims)
+        grid_bytes = field.grid.n_cells * np.dtype(pipeline._DTYPES[precision]).itemsize
+        calls, marks = [], {}
+
+        def apply(sys, u, out=None):
+            calls.append(1)
+            if len(calls) == 2:
+                tracemalloc.reset_peak()
+                marks["start"] = tracemalloc.get_traced_memory()[0]
+            return real_apply(sys, u, out=out)
+
+        def traced_pcg(*args, **kwargs):
+            result = real_pcg(*args, **kwargs)
+            marks["peak"] = tracemalloc.get_traced_memory()[1]
+            return result
+
+        real_apply, real_pcg = pipeline.apply_operator, pipeline.pcg
+        monkeypatch.setattr(pipeline, "apply_operator", apply)
+        monkeypatch.setattr(pipeline, "pcg", traced_pcg)
+        tracemalloc.start()
+        try:
+            rep = homogenize(field, boundary_z, 1e-12, precision=precision, max_iter=4)
+        finally:
+            tracemalloc.stop()
+        assert rep.iterations == 4 and len(calls) == 4
+        assert (marks["peak"] - marks["start"]) / grid_bytes < 0.1
+
     def test_solve_smooth_builds_no_coordinate_grids(self):
         # the source and the exact solution are sampled on broadcast
         # coordinate vectors, not on three full cell-centre grids
@@ -262,6 +296,27 @@ class TestExperimentPlan:
             ExperimentPlan("center-ball", boundary=BoundaryConfig(Axis.Z, float("nan"), 0.0))
         with pytest.raises(ConfigError):
             ExperimentPlan("center-ball", precision="f16")
+
+    @pytest.mark.parametrize("preconds", [
+        ("fct", "fct"), ("ssor", "ssor:1"), ("ssor:1.5", "jacobi", "ssor:1.50"),
+    ])
+    def test_rejects_repeated_preconditioners(self, preconds):
+        # compared by (kind, omega): each would be solved twice, reported once
+        with pytest.raises(ConfigError, match="repeated preconditioner"):
+            ExperimentPlan("center-ball", preconds=preconds)
+        ExperimentPlan("center-ball", preconds=preconds[1:])
+
+    @pytest.mark.parametrize("flags", [
+        ["--precond", "fct", "--precond", "fct"],
+        ["--precond", "ssor", "--precond", "ssor:1.5", "--omega", "1.5"],
+    ])
+    def test_cli_compare_repeated_preconditioner_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "cmp"
+        code = main(["compare", "--config", "center-ball", "--n", "6", *flags, "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "repeated preconditioner" in err
+        assert not out.exists()
 
 
 class TestPlanBoundary:

@@ -118,6 +118,26 @@ class TestApplyOperator:
         with pytest.raises(ValueError):
             apply_operator(two_cell_system(), np.ones(3))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_out_takes_the_product_with_the_same_bits(self, dtype, boundary_z):
+        rng = np.random.default_rng(8)
+        f = random_field(rng, 6, 5, 7, dtype=dtype)
+        sys = build_system(f, boundary_z)
+        u = rng.standard_normal(f.grid.n_cells).astype(dtype)
+        want = apply_operator(sys, u)
+        buf = np.full(f.grid.shape, np.nan, dtype=dtype)
+        got = apply_operator(sys, u, out=buf)
+        assert got.shape == u.shape and np.shares_memory(got, buf)
+        assert np.array_equal(got, want)
+
+    def test_out_must_fit_and_stay_apart_from_u(self, boundary_z):
+        sys = build_system(random_field(np.random.default_rng(9), 4, 3, 5), boundary_z)
+        u = np.ones(sys.grid.n_cells)
+        for bad in (u, u.reshape(sys.grid.shape), np.empty(u.size - 1),
+                    np.empty(u.size, dtype=np.float32), np.empty(2 * u.size)[::2]):
+            with pytest.raises(ValueError):
+                apply_operator(sys, u, out=bad)
+
     @pytest.mark.parametrize("dims", [(5, 4, 3), (8, 8, 8), (17, 9, 5), (1, 6, 4)])
     def test_symmetry(self, dims, boundary_z):
         rng = np.random.default_rng(hash(dims) % 2**32)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.fft
 
-from etchomo import fct_backward_batch, fct_forward_batch
+from etchomo import fct_backward_batch, fct_forward_batch, transforms
 from etchomo.oracles import dct1d_ref_forward
 
 from conftest import dct1d_ref_backward
@@ -86,7 +87,7 @@ class TestBackwardBatch:
         kept = coeff.copy()
         want = fct_backward_batch(coeff)
         assert np.array_equal(coeff, kept)
-        got = fct_backward_batch(coeff, overwrite=True)
+        got = fct_backward_batch(coeff, out=coeff)
         assert got.dtype == dtype
         assert np.array_equal(got, want)
 
@@ -140,3 +141,87 @@ def test_parseval_identity(shape):
     spectral = 4.0 / (nx * ny) * np.sum(ay[:, None] * ax[None, :] * rh[0] * zh[0])
     physical = np.sum(r * z)
     assert spectral == pytest.approx(physical, rel=1e-11)
+
+
+# plane sides on both sides of the product branch's limit (64), and a mixed
+# plane with one side past it
+BRANCH_PLANES = [(63, 63), (64, 64), (65, 65), (24, 65), (65, 24), (64, 2)]
+# worst deviation from the direct sums, relative to the largest entry
+TOLERANCE = {np.float64: 1e-12, np.float32: 2e-6}
+
+
+def ref2d_backward(c):
+    stage = np.stack([dct1d_ref_backward(row) for row in c])
+    return np.stack([dct1d_ref_backward(stage[:, i]) for i in range(c.shape[1])], axis=1)
+
+
+def product_branch(shape):
+    return max(shape[1:]) <= transforms._MATRIX_MAX_SIDE
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("plane", BRANCH_PLANES)
+class TestBothBranches:
+    def test_forward_matches_direct_sum(self, plane, dtype):
+        rng = np.random.default_rng(sum(plane))
+        v = rng.standard_normal((2,) + plane).astype(dtype)
+        coeff = fct_forward_batch(v)
+        assert coeff.dtype == dtype
+        for k in range(2):
+            want = ref2d(v[k].astype(np.float64))
+            dev = np.max(np.abs(coeff[k] - want)) / np.max(np.abs(want))
+            assert dev <= TOLERANCE[dtype]
+
+    def test_backward_matches_direct_sum(self, plane, dtype):
+        rng = np.random.default_rng(sum(plane) + 1)
+        c = rng.standard_normal((2,) + plane).astype(dtype)
+        back = fct_backward_batch(c)
+        assert back.dtype == dtype
+        for k in range(2):
+            want = ref2d_backward(c[k].astype(np.float64))
+            dev = np.max(np.abs(back[k] - want)) / np.max(np.abs(want))
+            assert dev <= TOLERANCE[dtype]
+
+    def test_out_is_the_callers_buffer_with_the_allocating_bits(self, plane, dtype):
+        rng = np.random.default_rng(sum(plane) + 2)
+        v = rng.standard_normal((3,) + plane).astype(dtype)
+        kept = v.copy()
+        want_fwd = fct_forward_batch(v)
+        buf = np.full_like(v, np.nan)
+        assert fct_forward_batch(v, out=buf) is buf
+        assert np.array_equal(buf, want_fwd) and np.array_equal(v, kept)
+        want_back = fct_backward_batch(want_fwd)
+        assert fct_backward_batch(buf, out=buf) is buf
+        assert np.array_equal(buf, want_back)
+        # in place over the input, forward too
+        assert fct_forward_batch(v, out=v) is v
+        assert np.array_equal(v, want_fwd)
+
+    def test_against_scipy_dctn(self, plane, dtype):
+        # wide planes keep pocketfft's bits; narrow ones agree within rounding
+        rng = np.random.default_rng(sum(plane) + 3)
+        v = rng.standard_normal((3,) + plane).astype(dtype)
+        fwd = scipy.fft.dctn(v, type=2, axes=(1, 2)) * dtype(0.25)
+        back = scipy.fft.idctn(v, type=2, axes=(1, 2)) * dtype(4.0)
+        if product_branch(v.shape):
+            for got, want in ((fct_forward_batch(v), fwd), (fct_backward_batch(v), back)):
+                dev = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert dev <= TOLERANCE[dtype]
+        else:
+            assert np.array_equal(fct_forward_batch(v), fwd)
+            assert np.array_equal(fct_backward_batch(v), back)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_products_run_in_chunks_of_layers(dtype, monkeypatch):
+    # a slab of many chunks gives the bits of its layers transformed alone
+    rng = np.random.default_rng(10)
+    v = rng.standard_normal((7, 5, 6)).astype(dtype)
+    whole, whole_back = fct_forward_batch(v), fct_backward_batch(v)
+    monkeypatch.setattr(transforms, "_CHUNK_BYTES", 2 * 5 * 6 * v.itemsize)
+    assert np.array_equal(fct_forward_batch(v), whole)
+    assert np.array_equal(fct_backward_batch(v), whole_back)
+    in_place = v.copy()
+    assert np.array_equal(fct_forward_batch(in_place, out=in_place), whole)
+    for k in range(7):
+        assert np.array_equal(fct_forward_batch(v[k:k + 1])[0], whole[k])
