@@ -42,7 +42,11 @@ def _transform_workers(n: int):
     return scipy.fft.set_workers(n)
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, multi_rtol: bool = False) -> None:
+def _add_solver_flags(
+    p: argparse.ArgumentParser, multi_rtol: bool = False, fixed: tuple = ()
+) -> None:
+    """The solver flags; `fixed` names the settings (`ref`, `precision`) that
+    the command fixes itself, which get no flag."""
     p.add_argument("--axis", choices=["x", "y", "z"], default="z")
     p.add_argument("--p-in", type=float, default=1.0)
     p.add_argument("--p-out", type=float, default=0.0)
@@ -51,8 +55,10 @@ def _add_solver_flags(p: argparse.ArgumentParser, multi_rtol: bool = False) -> N
     else:
         p.add_argument("--rtol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=_positive_int, default=1024)
-    p.add_argument("--ref", choices=["opt", "one"], default="opt")
-    p.add_argument("--precision", choices=["f64", "f32"], default="f64")
+    if "ref" not in fixed:
+        p.add_argument("--ref", choices=["opt", "one"], default="opt")
+    if "precision" not in fixed:
+        p.add_argument("--precision", choices=["f64", "f32"], default="f64")
     p.add_argument("--threads", type=int, default=0)
 
 
@@ -62,19 +68,20 @@ def _add_generator_flags(p: argparse.ArgumentParser) -> None:
         choices=["smooth", "center-ball", "random-balls", "channels"],
         required=True,
     )
-    p.add_argument("--n", type=_positive_int, action="append")
+    p.add_argument("--n", type=_positive_int, default=None,
+                   help="cells per axis (per period for channels)")
     p.add_argument("--kappa-inc", type=float, default=10.0)
     p.add_argument("--count", type=_positive_int, default=40)
     p.add_argument("--r-min", type=float, default=0.05)
     p.add_argument("--r-max", type=float, default=0.15)
-    p.add_argument("--psi", type=float, action="append")
+    p.add_argument("--psi", type=float, default=1.0)
     p.add_argument("--periods", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--preset", choices=sorted(pipeline.RANDOM_BALL_PRESETS), default=None)
 
 
 def _generator_params(args) -> dict:
-    n = (args.n or [64])[0]
+    n = args.n or 64
     if args.config == "smooth":
         return {"n": n}
     if args.config == "center-ball":
@@ -90,11 +97,7 @@ def _generator_params(args) -> dict:
             "kappa_inc": args.kappa_inc,
             "seed": args.seed,
         }
-    return {
-        "cells_per_period": (args.n or [8])[0],
-        "periods": args.periods,
-        "psi": (args.psi or [1.0])[0],
-    }
+    return {"cells_per_period": args.n or 8, "periods": args.periods, "psi": args.psi}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", default=None, help="write the residual CSV here")
 
     p = sub.add_parser("convergence", help="mesh-refinement study")
-    _add_generator_flags(p)
+    p.add_argument("--config", choices=["smooth", "center-ball"], required=True)
+    p.add_argument("--n", type=_positive_int, action="append", help="cells per axis (repeatable)")
+    p.add_argument("--kappa-inc", type=float, default=10.0, help="center-ball only")
     _add_solver_flags(p)
     p.add_argument("-o", dest="output", required=True, help="output directory")
 
@@ -135,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", dest="output", required=True, help="output directory")
 
     p = sub.add_parser("channels", help="anisotropy sweep over reference modes")
-    _add_solver_flags(p)
-    p.add_argument("--psi", type=float, action="append")
+    _add_solver_flags(p, fixed=("ref",))
+    p.add_argument("--psi", type=float, action="append", help="anisotropy (repeatable)")
     p.add_argument("--n", type=_positive_int, default=8, help="cells per period")
     p.add_argument("--periods", type=_positive_int, default=8)
     p.add_argument("-o", dest="output", required=True, help="output directory")
@@ -144,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("precision", help="single-vs-double study")
     _add_generator_flags(p)
-    _add_solver_flags(p, multi_rtol=True)
+    _add_solver_flags(p, multi_rtol=True, fixed=("precision",))
     p.add_argument("-o", dest="output", required=True, help="output directory")
 
     p = sub.add_parser("bench", help="kernel timing split at one size")
@@ -195,24 +200,27 @@ def cmd_solve(args) -> int:
 
 
 def _plan(args, params: dict, **overrides) -> ExperimentPlan:
-    """The ExperimentPlan of a study command: generator, boundary and solver
-    flags from `args`, with `overrides` on top."""
+    """The ExperimentPlan of a study command: generator, boundary and the
+    solver flags that the command has, with `overrides` on top."""
     fields = dict(
         generator=args.config,
         params=params,
         boundary=BoundaryConfig(Axis(args.axis), args.p_in, args.p_out),
         rtols=(args.rtol,),
-        ref_mode=args.ref,
-        precision=args.precision,
         max_iter=args.max_iter,
         out_dir=Path(args.output),
     )
+    for flag, name in (("ref", "ref_mode"), ("precision", "precision")):
+        if flag in args:
+            fields[name] = getattr(args, flag)
     fields.update(overrides)
     return ExperimentPlan(**fields)
 
 
 def cmd_convergence(args) -> int:
-    params = {"n_values": args.n or [16, 32, 64], "kappa_inc": args.kappa_inc}
+    params = {"n_values": args.n or [16, 32, 64]}
+    if args.config == "center-ball":
+        params["kappa_inc"] = args.kappa_inc
     rows = pipeline.run_convergence_study(_plan(args, params))
     for row in rows:
         print(row)
@@ -247,7 +255,6 @@ def cmd_precision(args) -> int:
         args,
         _generator_params(args),
         rtols=tuple(args.rtol or [1e-5, 1e-6, 1e-7, 1e-8, 1e-9]),
-        precision="f64",
     )
     rows = pipeline.precision_study(plan)
     for row in rows:

@@ -13,9 +13,15 @@ field lives only inside `_prepare`, so it is freed before the solve starts.
 
 The four studies each take an `ExperimentPlan`, whose `boundary` is the
 `BoundaryConfig` that `homogenize` takes; they build every field through
-`make_field` and solve every run through `_run`. The smooth convergence study
-fixes its own z-face data, so it refuses any other boundary. Each CSV table
-takes its header from the keys of its first row.
+`make_field` and solve every run through `_run`. A study reads every plan
+field and `params` key it accepts, or raises `ConfigError` before any solve
+or file write: `make_field` refuses a key its generator does not take, a
+sweep key (`n_values`, `psi_values`) is taken only by the study that sweeps
+it and not beside its single-value key, and `_check_study` refuses the rtols
+and the preconditioner, reference mode or precision that a study fixes
+itself. The smooth convergence study fixes its own z-face data, so it
+refuses any other boundary. Each CSV table takes its header from the keys of
+its first row.
 
 Axis handling works by physically permuting the voxel data so the requested
 Dirichlet direction becomes the canonical z; the discretization and the
@@ -98,6 +104,8 @@ class ExperimentPlan:
         parsed = [_parse_precond(tag) for tag in self.preconds]
         if len(set(parsed)) < len(parsed):
             raise ConfigError(f"repeated preconditioner in {list(self.preconds)}")
+        # tuples, so that a study compares them by value
+        self.rtols, self.preconds = tuple(self.rtols), tuple(self.preconds)
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
 
@@ -259,31 +267,41 @@ def solve_smooth(
     return _solve(sys, apply_m, stub, b, rtol, max_iter, exact)[1]
 
 
+# each generator and the defaults of its parameters; None marks a required one
+_GENERATORS = {
+    "smooth": (lambda n: gen_smooth_problem(n)[0], {"n": 32}),
+    "center-ball": (gen_center_ball, {"n": 64, "kappa_inc": 10.0}),
+    "random-balls": (gen_random_balls, {"n": 64, "count": None, "r_min": None,
+                                        "r_max": None, "kappa_inc": 10.0, "seed": 0}),
+    "channels": (gen_channels, {"cells_per_period": 8, "periods": 8, "psi": 1.0}),
+}
+
+
+def _generator_kwargs(generator: str, params: dict) -> dict:
+    """The arguments of `generator` for plain `params`: its defaults, under a
+    random-balls `preset`, under `params`. Refuses an unknown generator,
+    preset or key and a missing required key."""
+    if generator not in _GENERATORS:
+        raise ConfigError(f"unknown generator {generator!r}")
+    defaults = _GENERATORS[generator][1]
+    params = dict(params)
+    preset = params.pop("preset", None) if generator == "random-balls" else None
+    if preset is not None and preset not in RANDOM_BALL_PRESETS:
+        raise ConfigError(f"unknown random-balls preset {preset!r}")
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"the {generator} generator takes no {', '.join(unknown)}")
+    kwargs = {**defaults, **RANDOM_BALL_PRESETS.get(preset, {}), **params}
+    missing = [key for key, value in kwargs.items() if value is None]
+    if missing:
+        raise ConfigError(f"the {generator} generator needs {', '.join(missing)}")
+    return kwargs
+
+
 def make_field(generator: str, params: dict) -> OrthotropicField:
     """Instantiate a named test-case generator from plain parameters."""
-    if generator == "smooth":
-        return gen_smooth_problem(params.get("n", 32))[0]
-    if generator == "center-ball":
-        return gen_center_ball(params.get("n", 64), params.get("kappa_inc", 10.0))
-    if generator == "random-balls":
-        preset = params.get("preset")
-        merged = dict(RANDOM_BALL_PRESETS[preset]) if preset else {}
-        merged.update({k: v for k, v in params.items() if k != "preset"})
-        return gen_random_balls(
-            merged.get("n", 64),
-            merged["count"],
-            merged["r_min"],
-            merged["r_max"],
-            merged.get("kappa_inc", 10.0),
-            merged.get("seed", 0),
-        )
-    if generator == "channels":
-        return gen_channels(
-            params.get("cells_per_period", 8),
-            params.get("periods", 8),
-            params.get("psi", 1.0),
-        )
-    raise ConfigError(f"unknown generator {generator!r}")
+    kwargs = _generator_kwargs(generator, params)
+    return _GENERATORS[generator][0](**kwargs)
 
 
 # ----------------------------------------------------------------------------
@@ -358,21 +376,47 @@ def _run(plan: ExperimentPlan, field: OrthotropicField, **settings) -> SolveRepo
     return homogenize(field, plan.boundary, **kwargs)
 
 
+def _check_study(plan: ExperimentPlan, study: str, one_rtol: bool, **fixed) -> None:
+    """Refuse the plan fields that `study` would ignore: rtols past the
+    first when it solves at `one_rtol`, and any `fixed` field set otherwise."""
+    if one_rtol and len(plan.rtols) > 1:
+        raise ConfigError(f"the {study} study solves at one rtol, got rtols {list(plan.rtols)}")
+    for name, value in fixed.items():
+        if getattr(plan, name) != value:
+            raise ConfigError(f"the {study} study fixes {name} to {value!r}, "
+                              f"got {getattr(plan, name)!r}")
+
+
+def _sweep(params: dict, key: str, sweep_key: str, default) -> tuple[dict, list]:
+    """Split a study's sweep off `params`: the values of `sweep_key`, else
+    the one value of `key` (or `default`). Returns the other params and the
+    values; refuses both keys at once and an empty sweep."""
+    params = dict(params)
+    if key in params and sweep_key in params:
+        raise ConfigError(f"give {key} or {sweep_key}, not both")
+    values = list(params.pop(sweep_key, [params.pop(key, default)]))
+    if not values:
+        raise ConfigError(f"{sweep_key} is empty")
+    return params, values
+
+
 def run_convergence_study(plan: ExperimentPlan) -> list:
     """Mesh sweep: per-resolution error (smooth case) or effective
     conductivity (inclusion cases), with iteration counts and timings."""
     if plan.generator not in ("smooth", "center-ball"):
         raise ConfigError("convergence study supports smooth or center-ball")
+    _check_study(plan, "convergence", True, preconds=("fct",))
     if plan.generator == "smooth" and plan.boundary != _Z_BOUNDARY:
         raise ConfigError("the smooth problem fixes its own z-face data; "
                           "it takes only the default boundary (z, 1, 0)")
-    n_values = plan.params.get("n_values") or [plan.params.get("n", 32)]
+    params, n_values = _sweep(plan.params, "n", "n_values", 32)
+    _generator_kwargs(plan.generator, params)  # refuse a bad key before any solve
     rows = []
     for n in n_values:
         if plan.generator == "smooth":
             rep = solve_smooth(n, plan.rtols[0], plan.ref_mode, plan.precision, plan.max_iter)
         else:
-            rep = _run(plan, make_field(plan.generator, {**plan.params, "n": n}))
+            rep = _run(plan, make_field(plan.generator, {**params, "n": n}))
         rows.append(
             {
                 "n": n,
@@ -392,6 +436,7 @@ def run_convergence_study(plan: ExperimentPlan) -> list:
 def compare_preconditioners(plan: ExperimentPlan) -> dict:
     """Residual histories for each requested preconditioner on one
     configuration, aligned for plotting; max_iter pinned by the plan."""
+    _check_study(plan, "compare", True)
     field = make_field(plan.generator, plan.params)
     out = {}
     for tag in plan.preconds:
@@ -406,6 +451,7 @@ def precision_study(plan: ExperimentPlan) -> list:
     """Single-vs-double comparison: a tight double-precision run anchors the
     table, the single-precision sweep and the loosest double run are reported
     as relative differences against it."""
+    _check_study(plan, "precision", False, precision="f64", preconds=("fct",))
     field = make_field(plan.generator, plan.params)
     # the tight f64 run comes first and anchors rel_diff (0.0 on its own row)
     sweep = ([("f64", 1e-9)] + [("f32", rt) for rt in plan.rtols]
@@ -437,9 +483,17 @@ def channels_study(plan: ExperimentPlan) -> list:
     emits one history per (psi, mode) plus a summary table."""
     if plan.generator != "channels":
         raise ConfigError("channels study needs the channels generator")
+    _check_study(plan, "channels", True, ref_mode="opt", preconds=("fct",))
+    params, psi_values = _sweep(plan.params, "psi", "psi_values", 1.0)
+    _generator_kwargs(plan.generator, params)  # refuse a bad key before any solve
+    # each psi names its history files, so two that print alike would collide
+    stems = [f"{psi:g}" for psi in psi_values]
+    if len(set(stems)) < len(stems):
+        raise ConfigError(f"psi values {psi_values} share a history file name "
+                          f"history_psi<psi:g>: {stems}")
     rows = []
-    for psi in plan.params.get("psi_values") or [plan.params.get("psi", 1.0)]:
-        field = make_field(plan.generator, {**plan.params, "psi": psi})
+    for psi, stem in zip(psi_values, stems):
+        field = make_field(plan.generator, {**params, "psi": psi})
         for mode in ("opt", "one"):
             rep = _run(plan, field, ref_mode=mode)
             rows.append(
@@ -453,8 +507,8 @@ def channels_study(plan: ExperimentPlan) -> list:
                 }
             )
             if plan.out_dir is not None:
-                path = plan.out_dir / f"history_psi{psi:g}_{mode}.csv"
-                write_history(path, rep.relative_residuals)
+                write_history(plan.out_dir / f"history_psi{stem}_{mode}.csv",
+                              rep.relative_residuals)
     if plan.out_dir is not None:
         _write_rows(plan.out_dir / "channels.csv", rows)
     return rows

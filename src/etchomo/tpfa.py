@@ -211,8 +211,11 @@ def apply_operator(
             f *= t[p0:p1]
             out[p0 + s:b] += f[: b - s - p0]
             out[a:p1] -= f[a - p0:]
-    out[:nxy] += sys.t_in * u[:nxy]
-    out[n - nxy:] += sys.t_out * u[n - nxy:]
+    # the Dirichlet terms are formed in the flux buffer, at least a plane long,
+    # so they allocate no plane temporary
+    f = flux[:nxy]
+    out[:nxy] += np.multiply(sys.t_in, u[:nxy], out=f)
+    out[n - nxy:] += np.multiply(sys.t_out, u[n - nxy:], out=f)
     return out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -36,6 +37,90 @@ def test_help_enumerates_every_flag():
     text = collected_help()
     for flag in SPEC_FLAGS:
         assert flag in text, f"{flag} missing from help output"
+
+
+_SOLVER = {"axis", "p_in", "p_out", "rtol", "max_iter", "threads"}
+_GENERATOR = {"config", "n", "kappa_inc", "count", "r_min", "r_max", "psi", "periods",
+              "seed", "preset"}
+SUBCOMMAND_DESTS = {
+    "generate": _GENERATOR | {"output", "precision"},
+    "solve": _SOLVER | {"input", "ref", "precision", "precond", "omega", "report", "history"},
+    "convergence": _SOLVER | {"config", "n", "kappa_inc", "ref", "precision", "output"},
+    "compare": _SOLVER | _GENERATOR | {"ref", "precision", "precond", "omega", "output"},
+    "channels": _SOLVER | {"psi", "n", "periods", "precision", "output"},
+    "precision": _SOLVER | _GENERATOR | {"ref", "output"},
+    "bench": {"n", "precision", "threads"},
+    "oracle": {"max_n"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_pinned_flags():
+    # a new flag must be read by its command and added here
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    dests = {name: {a.dest for a in sub._actions if a.dest != "help"}
+             for name, sub in subparsers.choices.items()}
+    assert dests == SUBCOMMAND_DESTS
+    assert sum(map(len, dests.values())) == 91
+    repeatable = {(name, a.dest) for name, sub in subparsers.choices.items()
+                  for a in sub._actions if isinstance(a, argparse._AppendAction)}
+    assert repeatable == {("convergence", "n"), ("channels", "psi"), ("compare", "precond"),
+                          ("precision", "rtol")}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("convergence", ["--count", "5"]),
+    ("convergence", ["--r-min", "0.1"]),
+    ("convergence", ["--r-max", "0.2"]),
+    ("convergence", ["--psi", "2"]),
+    ("convergence", ["--periods", "4"]),
+    ("convergence", ["--seed", "3"]),
+    ("convergence", ["--preset", "b"]),
+    ("channels", ["--ref", "one"]),
+    ("precision", ["--precision", "f32"]),
+])
+def test_removed_flags_exit_2(tmp_path, capsys, command, flags):
+    config = {"convergence": ["--config", "center-ball", "--n", "6"],
+              "channels": ["--n", "8", "--periods", "1"],
+              "precision": ["--config", "center-ball", "--n", "6"]}[command]
+    out = tmp_path / "out"
+    assert main([command, *config, *flags, "-o", str(out)]) == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", ["random-balls", "channels"])
+def test_convergence_takes_only_its_two_configs(tmp_path, capsys, config):
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", config, "-o", str(out)]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_convergence_passes_kappa_inc_to_center_ball_only(tmp_path, monkeypatch):
+    plans = []
+    monkeypatch.setattr(etchomo.pipeline, "run_convergence_study",
+                        lambda plan: plans.append(plan) or [])
+    for config in ("smooth", "center-ball"):
+        assert main(["convergence", "--config", config, "--n", "6", "--kappa-inc", "5",
+                     "-o", str(tmp_path)]) == 0
+    assert [plan.params for plan in plans] == [
+        {"n_values": [6]}, {"n_values": [6], "kappa_inc": 5.0}
+    ]
+
+
+def test_channels_psi_values_sharing_a_history_name_exit_2(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(etchomo.pipeline, "homogenize", unreachable)
+    out = tmp_path / "chan"
+    code = main(["channels", "--psi", "1", "--psi", "1.0000001", "--n", "8",
+                 "--periods", "1", "-o", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "share a history file name" in err
+    assert not out.exists()
 
 
 def test_solve_happy_path(tmp_path):

@@ -21,6 +21,7 @@ from etchomo import (
     gen_center_ball,
     gen_channels,
     gen_random_balls,
+    gen_smooth_problem,
     homogenize,
     precision_study,
     run_convergence_study,
@@ -358,6 +359,130 @@ class TestPlanBoundary:
         err = capsys.readouterr().err
         assert err == "etc: configuration error: p_in and p_out must be finite\n"
         assert not out.exists()
+
+
+def _no_solve(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(pipeline, "homogenize", unreachable)
+    monkeypatch.setattr(pipeline, "solve_smooth", unreachable)
+
+
+_CONV = {"n_values": [8], "kappa_inc": 10.0}
+_CHAN = {"psi_values": [1.0], "cells_per_period": 8, "periods": 1}
+
+
+class TestRefusedSettings:
+    """A study reads every plan field and params key it accepts, or refuses it
+    with a ConfigError that names it, before any solve or file write."""
+
+    @pytest.mark.parametrize("study, generator, params, fields, name", [
+        (run_convergence_study, "center-ball", _CONV, {"preconds": ("jacobi",)}, "preconds"),
+        (run_convergence_study, "center-ball", _CONV, {"rtols": (1e-6, 1e-9)}, "rtols"),
+        (run_convergence_study, "smooth", {"n_values": [8]}, {"preconds": ("ssor",)}, "preconds"),
+        (run_convergence_study, "smooth", {"n_values": [8]}, {"rtols": (1e-6, 1e-9)}, "rtols"),
+        (compare_preconditioners, "center-ball", {"n": 6}, {"rtols": (1e-6, 1e-9)}, "rtols"),
+        (precision_study, "center-ball", {"n": 6}, {"precision": "f32"}, "precision"),
+        (precision_study, "center-ball", {"n": 6}, {"preconds": ("jacobi",)}, "preconds"),
+        (channels_study, "channels", _CHAN, {"ref_mode": "one"}, "ref_mode"),
+        (channels_study, "channels", _CHAN, {"preconds": ("fct", "jacobi")}, "preconds"),
+        (channels_study, "channels", _CHAN, {"rtols": (1e-5, 1e-6)}, "rtols"),
+    ])
+    def test_plan_fields(self, monkeypatch, tmp_path, study, generator, params, fields, name):
+        _no_solve(monkeypatch)
+        plan = ExperimentPlan(generator, params, out_dir=tmp_path, **fields)
+        with pytest.raises(ConfigError, match=f"study .*{name}"):
+            study(plan)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_convergence_probe_from_the_loose_ends(self, monkeypatch):
+        # this plan once solved with FCT at 1e-6: 9 iterations, jacobi takes 29
+        _no_solve(monkeypatch)
+        plan = ExperimentPlan("center-ball", {"n_values": [8]}, rtols=(1e-6, 1e-9),
+                              preconds=("jacobi",))
+        with pytest.raises(ConfigError, match="rtols"):
+            run_convergence_study(plan)
+
+    @pytest.mark.parametrize("study, generator, params, name", [
+        (compare_preconditioners, "center-ball", {"n": 6, "kapa_inc": 1000.0}, "kapa_inc"),
+        (compare_preconditioners, "center-ball", {"n_values": [6]}, "n_values"),
+        (compare_preconditioners, "smooth", {"n": 6, "kappa_inc": 5.0}, "kappa_inc"),
+        (compare_preconditioners, "random-balls", {"preset": "a", "psi": 2.0}, "psi"),
+        (compare_preconditioners, "channels", {"n": 8}, "n"),
+        (precision_study, "center-ball", {"n": 6, "seed": 3}, "seed"),
+        (precision_study, "channels", {"psi_values": [1.0, 2.0]}, "psi_values"),
+        (run_convergence_study, "center-ball", {"n_values": [6], "count": 5}, "count"),
+        (run_convergence_study, "smooth", {"n_values": [6], "kappa_inc": 5.0}, "kappa_inc"),
+        (run_convergence_study, "center-ball", {"psi_values": [1.0]}, "psi_values"),
+        (channels_study, "channels", {"n_values": [8]}, "n_values"),
+        (channels_study, "channels", {"psi_values": [1.0], "kappa_inc": 5.0}, "kappa_inc"),
+    ])
+    def test_params_keys(self, monkeypatch, tmp_path, study, generator, params, name):
+        _no_solve(monkeypatch)
+        plan = ExperimentPlan(generator, params, out_dir=tmp_path)
+        with pytest.raises(ConfigError, match=f"the {generator} generator takes no {name}$"):
+            study(plan)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("study, generator, params, pair", [
+        (run_convergence_study, "center-ball", {"n": 8, "n_values": [8, 16]}, "n or n_values"),
+        (run_convergence_study, "smooth", {"n": 8, "n_values": [8]}, "n or n_values"),
+        (channels_study, "channels", {"psi": 1.0, "psi_values": [2.0]}, "psi or psi_values"),
+    ])
+    def test_single_value_beside_its_sweep(self, monkeypatch, tmp_path, study, generator,
+                                           params, pair):
+        _no_solve(monkeypatch)
+        with pytest.raises(ConfigError, match=f"give {pair}, not both"):
+            study(ExperimentPlan(generator, params, out_dir=tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("study, generator, params", [
+        (run_convergence_study, "center-ball", {"n_values": []}),
+        (channels_study, "channels", {"psi_values": []}),
+    ])
+    def test_empty_sweep(self, monkeypatch, study, generator, params):
+        _no_solve(monkeypatch)
+        with pytest.raises(ConfigError, match="_values is empty"):
+            study(ExperimentPlan(generator, params))
+
+    @pytest.mark.parametrize("psi_values", [[1.0, 1.0000001], [2.5, 2.5], [1.0, 2.0, 1.0]])
+    def test_channels_psi_values_sharing_a_history_name(self, monkeypatch, tmp_path, psi_values):
+        _no_solve(monkeypatch)
+        plan = ExperimentPlan("channels", {**_CHAN, "psi_values": psi_values}, out_dir=tmp_path)
+        with pytest.raises(ConfigError, match="share a history file name"):
+            channels_study(plan)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("generator, params, match", [
+        ("spheres", {}, "unknown generator 'spheres'"),
+        ("random-balls", {"preset": "z"}, "unknown random-balls preset 'z'"),
+        ("random-balls", {"count": 3}, "needs r_min, r_max$"),
+        ("center-ball", {"preset": "a"}, "takes no preset$"),
+    ])
+    def test_make_field_refusals(self, generator, params, match):
+        with pytest.raises(ConfigError, match=match):
+            pipeline.make_field(generator, params)
+
+    @pytest.mark.parametrize("generator, params, direct", [
+        ("smooth", {}, lambda: gen_smooth_problem(32)[0]),
+        ("center-ball", {"n": 6, "kappa_inc": 3.0}, lambda: gen_center_ball(6, 3.0)),
+        ("random-balls", {"preset": "b", "n": 8, "seed": 5},
+         lambda: gen_random_balls(8, 80, 0.04, 0.10, 10.0, 5)),
+        ("random-balls", {"n": 8, "count": 3, "r_min": 0.1, "r_max": 0.2},
+         lambda: gen_random_balls(8, 3, 0.1, 0.2, 10.0, 0)),
+        ("channels", {"psi": 2.0, "periods": 1}, lambda: gen_channels(8, 1, 2.0)),
+    ])
+    def test_make_field_defaults_and_presets(self, generator, params, direct):
+        got, want = pipeline.make_field(generator, params), direct()
+        assert got.grid == want.grid
+        for comp in ("kx", "ky", "kz"):
+            assert np.array_equal(getattr(got, comp), getattr(want, comp))
+
+    def test_plan_takes_lists_for_tuples(self, tmp_path):
+        plan = ExperimentPlan("channels", _CHAN, rtols=[1e-5], preconds=["fct"])
+        assert (plan.rtols, plan.preconds) == ((1e-5,), ("fct",))
+        assert len(channels_study(plan)) == 2
 
 
 class TestStudies:
