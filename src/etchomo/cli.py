@@ -63,41 +63,40 @@ def _add_solver_flags(
 
 
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
+    """The generator flags. Each defaults to unset: `_generator_params` passes
+    only the flags given, and `pipeline.make_field` holds the defaults."""
     p.add_argument(
         "--config",
         choices=["smooth", "center-ball", "random-balls", "channels"],
         required=True,
     )
-    p.add_argument("--n", type=_positive_int, default=None,
-                   help="cells per axis (per period for channels)")
-    p.add_argument("--kappa-inc", type=float, default=10.0)
-    p.add_argument("--count", type=_positive_int, default=40)
-    p.add_argument("--r-min", type=float, default=0.05)
-    p.add_argument("--r-max", type=float, default=0.15)
-    p.add_argument("--psi", type=float, default=1.0)
-    p.add_argument("--periods", type=_positive_int, default=8)
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--preset", choices=sorted(pipeline.RANDOM_BALL_PRESETS), default=None)
+    p.add_argument("--n", type=_positive_int, help="cells per axis (per period for channels)")
+    p.add_argument("--kappa-inc", type=float)
+    p.add_argument("--count", type=_positive_int)
+    p.add_argument("--r-min", type=float)
+    p.add_argument("--r-max", type=float)
+    p.add_argument("--psi", type=float)
+    p.add_argument("--periods", type=_positive_int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--preset", choices=sorted(pipeline.RANDOM_BALL_PRESETS),
+                   help="random-balls only; the flags given beside it override its values")
 
 
 def _generator_params(args) -> dict:
-    n = args.n or 64
-    if args.config == "smooth":
-        return {"n": n}
-    if args.config == "center-ball":
-        return {"n": n, "kappa_inc": args.kappa_inc}
-    if args.config == "random-balls":
-        if args.preset:
-            return {"preset": args.preset, "n": n}
-        return {
-            "n": n,
-            "count": args.count,
-            "r_min": args.r_min,
-            "r_max": args.r_max,
-            "kappa_inc": args.kappa_inc,
-            "seed": args.seed,
-        }
-    return {"cells_per_period": args.n or 8, "periods": args.periods, "psi": args.psi}
+    """The generator flags that were given, keyed as `make_field` takes them:
+    it fills in the rest and refuses a key that `--config` does not read."""
+    given = {
+        "cells_per_period" if args.config == "channels" else "n": args.n,
+        "kappa_inc": args.kappa_inc,
+        "count": args.count,
+        "r_min": args.r_min,
+        "r_max": args.r_max,
+        "psi": args.psi,
+        "periods": args.periods,
+        "seed": args.seed,
+        "preset": args.preset,
+    }
+    return {key: value for key, value in given.items() if value is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,6 +20,10 @@ VOX_MAGIC = b"ETCVOX01"
 _VOX_HEADER = struct.Struct("<8s3I3dB")  # magic, nx ny nz, lx ly lz, dtype code
 _DTYPE_BY_CODE = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 _CODE_BY_KIND = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
+# bytes of each array that one block of a cache-blocked pass holds: the
+# stencil's slabs of z-layers (`tpfa`), the product transforms' chunks of
+# layers (`transforms`) and the chunks of the PCG vector phases (`krylov`)
+_BLOCK_BYTES = 256 * 1024
 
 
 class ConfigError(ValueError):
@@ -191,6 +195,43 @@ class BoundaryConfig:
 # generators
 # ----------------------------------------------------------------------------
 
+# The argument checks of the generators, apart from the field builds so that
+# a study can check every value of its sweep before the first solve.
+
+def _check_smooth(n: int) -> None:
+    if n < 2:
+        raise ConfigError("smooth problem needs n >= 2")
+
+
+def _check_center_ball(n: int, kappa_inc: float) -> None:
+    if n < 2:
+        raise ConfigError("center-ball needs n >= 2")
+    if kappa_inc <= 0.0:
+        raise ConfigError("kappa_inc must be positive")
+
+
+def _check_random_balls(n, count, r_min, r_max, kappa_inc, seed) -> None:
+    if n < 2:
+        raise ConfigError("random-balls needs n >= 2")
+    if count < 1:
+        raise ConfigError("count must be >= 1")
+    if not (0.0 < r_min <= r_max < 0.5):
+        raise ConfigError("radii must satisfy 0 < r_min <= r_max < 1/2")
+    if kappa_inc <= 0.0:
+        raise ConfigError("kappa_inc must be positive")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+def _check_channels(cells_per_period: int, periods: int, psi: float) -> None:
+    if cells_per_period < 8 or cells_per_period % 8 != 0:
+        raise ConfigError("cells_per_period must be a positive multiple of 8")
+    if periods < 1:
+        raise ConfigError("periods must be >= 1")
+    if psi <= 0.0:
+        raise ConfigError("psi must be positive")
+
+
 def gen_smooth_problem(n: int):
     """Smooth verification problem on the unit cube.
 
@@ -216,8 +257,7 @@ def gen_smooth_problem(n: int):
     Returns (field, exact, source); `exact` and `source` are vectorized
     callables of (x, y, z).
     """
-    if n < 2:
-        raise ConfigError("smooth problem needs n >= 2")
+    _check_smooth(n)
     grid = GridSpec(n, n, n)
     x, y, z = _center_vectors(grid)
     k = (np.cos(np.pi * y) + 2.0, 2.0 * np.exp(z), 3.0 * np.cos(np.pi * x) + 4.0)
@@ -240,10 +280,7 @@ def gen_smooth_problem(n: int):
 def gen_center_ball(n: int, kappa_inc: float) -> OrthotropicField:
     """Unit cube with an isotropic spherical inclusion of radius 1/4 centered
     at (1/2, 1/2, 1/2); membership decided by the cell-center position."""
-    if n < 2:
-        raise ConfigError("center-ball needs n >= 2")
-    if kappa_inc <= 0.0:
-        raise ConfigError("kappa_inc must be positive")
+    _check_center_ball(n, kappa_inc)
     grid = GridSpec(n, n, n)
     x, y, z = _center_vectors(grid)
     inside = (x - 0.5) ** 2 + (y - 0.5) ** 2 + (z - 0.5) ** 2 <= 0.25**2
@@ -265,16 +302,7 @@ def gen_random_balls(
     (three uniforms in (0,1)) then the radius (uniform in [r_min, r_max]),
     in that order, from a PCG64 stream.
     """
-    if n < 2:
-        raise ConfigError("random-balls needs n >= 2")
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    if not (0.0 < r_min <= r_max < 0.5):
-        raise ConfigError("radii must satisfy 0 < r_min <= r_max < 1/2")
-    if kappa_inc <= 0.0:
-        raise ConfigError("kappa_inc must be positive")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    _check_random_balls(n, count, r_min, r_max, kappa_inc, seed)
     rng = np.random.default_rng(np.uint64(seed))
     grid = GridSpec(n, n, n)
     x, y, z = _center_vectors(grid)
@@ -306,12 +334,7 @@ def gen_channels(cells_per_period: int, periods: int, psi: float) -> Orthotropic
     is (cells_per_period * periods)^3. cells_per_period must be a multiple of
     8 so the band edges coincide with cell boundaries.
     """
-    if cells_per_period < 8 or cells_per_period % 8 != 0:
-        raise ConfigError("cells_per_period must be a positive multiple of 8")
-    if periods < 1:
-        raise ConfigError("periods must be >= 1")
-    if psi <= 0.0:
-        raise ConfigError("psi must be positive")
+    _check_channels(cells_per_period, periods, psi)
     cpp = cells_per_period
     n = cpp * periods
     grid = GridSpec(n, n, n)

@@ -4,10 +4,12 @@ The dense Cholesky oracle that checks it lives in `oracles`."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import _BLOCK_BYTES
 from .preconditioner import ReferenceParams
 
 
@@ -61,6 +63,18 @@ def pcg(
     callback runs. `b` is left untouched unless `overwrite_b` is true; then
     it holds the running residual, which saves a grid array for callers that
     no longer need b.
+
+    Outside the callbacks an iteration runs three vector phases, each over
+    chunks of `_BLOCK_BYTES` per vector, so that all the ops of a phase find
+    a chunk in cache and each vector is read from memory once per phase:
+    (A) after z = A w, the sums z.w, |z|^2 and |w|^2 of the breakdown guard;
+    (B) z *= alpha; r -= z; z = alpha w; p += z, and |r|^2, with the
+    operator's output z as the only scratch; (D) w = beta w + z' with
+    z' = M^-1 r. rho' = r.z' is one whole-vector dot, since beta needs it
+    before (D). The partial sums are added in Python floats, so a history
+    entry is the square root of the chunk-summed squares of r over |b|. The
+    updates give the bits of whole-vector updates; an f64 system of at most
+    one chunk (32768 cells) also keeps the bits of whole-vector reductions.
     """
     if not rtol > 0.0:
         raise ValueError("rtol must be positive")
@@ -80,22 +94,35 @@ def pcg(
     rho = float(np.dot(r, w))
     if rho <= 0.0:
         raise PcgBreakdownError("preconditioned inner product not positive", 0)
+    step = max(1, _BLOCK_BYTES // b.itemsize)
+    # each chunk's slice and its views of the three work vectors
+    chunks = [(slice(a, a + step), r[a:a + step], p[a:a + step], w[a:a + step])
+              for a in range(0, b.size, step)]
     history = [float(np.linalg.norm(r)) / norm_b]
     iteration = 0
     while history[-1] > rtol and iteration < max_iter:
         z = apply_A(w)
         if any(np.may_share_memory(z, v) for v in (w, r, p)):
             z = z.copy()
-        zw = float(np.dot(z, w))
-        if zw <= 100.0 * eps * float(np.linalg.norm(z)) * float(np.linalg.norm(w)):
+        zw = zz = ww = 0.0
+        for s, _, _, wc in chunks:
+            zc = z[s]
+            zw += float(np.dot(zc, wc))
+            zz += float(np.dot(zc, zc))
+            ww += float(np.dot(wc, wc))
+        if zw <= 100.0 * eps * math.sqrt(zz) * math.sqrt(ww):
             raise PcgBreakdownError("operator inner product lost positivity", iteration + 1)
         alpha = b.dtype.type(rho / zw)
-        z *= alpha
-        r -= z
-        np.multiply(w, alpha, out=z)
-        p += z
-        del z
-        relres = float(np.linalg.norm(r)) / norm_b
+        rr = 0.0
+        for s, rc, pc, wc in chunks:
+            zc = z[s]
+            zc *= alpha
+            rc -= zc
+            np.multiply(wc, alpha, out=zc)
+            pc += zc
+            rr += float(np.dot(rc, rc))
+        del z, zc
+        relres = math.sqrt(rr) / norm_b
         if not np.isfinite(relres):
             raise PcgBreakdownError("residual is not finite", iteration + 1)
         history.append(relres)
@@ -106,9 +133,10 @@ def pcg(
         rho_next = float(np.dot(r, z))
         if rho_next <= 0.0:
             raise PcgBreakdownError("preconditioned inner product not positive", iteration)
-        w *= b.dtype.type(rho_next / rho)
-        w += z
+        beta = b.dtype.type(rho_next / rho)
+        for s, _, _, wc in chunks:
+            wc *= beta
+            wc += z[s]
         del z
         rho = rho_next
     return p, SolveReport(iteration, history[-1] <= rtol, history)
-

@@ -17,7 +17,8 @@ The four studies each take an `ExperimentPlan`, whose `boundary` is the
 field and `params` key it accepts, or raises `ConfigError` before any solve
 or file write: `make_field` refuses a key its generator does not take, a
 sweep key (`n_values`, `psi_values`) is taken only by the study that sweeps
-it and not beside its single-value key, and `_check_study` refuses the rtols
+it and not beside its single-value key, every value of a sweep passes its
+generator's check before the first solve, and `_check_study` refuses the rtols
 and the preconditioner, reference mode or precision that a study fixes
 itself. The smooth convergence study fixes its own z-face data, so it
 refuses any other boundary. Each CSV table takes its header from the keys of
@@ -47,6 +48,10 @@ from .grid import (
     OrthotropicField,
     RANDOM_BALL_PRESETS,
     _center_vectors,
+    _check_center_ball,
+    _check_channels,
+    _check_random_balls,
+    _check_smooth,
     gen_center_ball,
     gen_channels,
     gen_random_balls,
@@ -267,23 +272,27 @@ def solve_smooth(
     return _solve(sys, apply_m, stub, b, rtol, max_iter, exact)[1]
 
 
-# each generator and the defaults of its parameters; None marks a required one
+# each generator, the check of its arguments and their defaults; None marks a
+# required one
 _GENERATORS = {
-    "smooth": (lambda n: gen_smooth_problem(n)[0], {"n": 32}),
-    "center-ball": (gen_center_ball, {"n": 64, "kappa_inc": 10.0}),
-    "random-balls": (gen_random_balls, {"n": 64, "count": None, "r_min": None,
-                                        "r_max": None, "kappa_inc": 10.0, "seed": 0}),
-    "channels": (gen_channels, {"cells_per_period": 8, "periods": 8, "psi": 1.0}),
+    "smooth": (lambda n: gen_smooth_problem(n)[0], _check_smooth, {"n": 32}),
+    "center-ball": (gen_center_ball, _check_center_ball, {"n": 64, "kappa_inc": 10.0}),
+    "random-balls": (gen_random_balls, _check_random_balls,
+                     {"n": 64, "count": None, "r_min": None, "r_max": None,
+                      "kappa_inc": 10.0, "seed": 0}),
+    "channels": (gen_channels, _check_channels,
+                 {"cells_per_period": 8, "periods": 8, "psi": 1.0}),
 }
 
 
 def _generator_kwargs(generator: str, params: dict) -> dict:
     """The arguments of `generator` for plain `params`: its defaults, under a
     random-balls `preset`, under `params`. Refuses an unknown generator,
-    preset or key and a missing required key."""
+    preset or key, a missing required key and a value the generator would
+    refuse."""
     if generator not in _GENERATORS:
         raise ConfigError(f"unknown generator {generator!r}")
-    defaults = _GENERATORS[generator][1]
+    _, check, defaults = _GENERATORS[generator]
     params = dict(params)
     preset = params.pop("preset", None) if generator == "random-balls" else None
     if preset is not None and preset not in RANDOM_BALL_PRESETS:
@@ -295,6 +304,7 @@ def _generator_kwargs(generator: str, params: dict) -> dict:
     missing = [key for key, value in kwargs.items() if value is None]
     if missing:
         raise ConfigError(f"the {generator} generator needs {', '.join(missing)}")
+    check(**kwargs)
     return kwargs
 
 
@@ -410,7 +420,8 @@ def run_convergence_study(plan: ExperimentPlan) -> list:
         raise ConfigError("the smooth problem fixes its own z-face data; "
                           "it takes only the default boundary (z, 1, 0)")
     params, n_values = _sweep(plan.params, "n", "n_values", 32)
-    _generator_kwargs(plan.generator, params)  # refuse a bad key before any solve
+    for n in n_values:  # refuse a bad key or value before any solve
+        _generator_kwargs(plan.generator, {**params, "n": n})
     rows = []
     for n in n_values:
         if plan.generator == "smooth":
@@ -485,7 +496,8 @@ def channels_study(plan: ExperimentPlan) -> list:
         raise ConfigError("channels study needs the channels generator")
     _check_study(plan, "channels", True, ref_mode="opt", preconds=("fct",))
     params, psi_values = _sweep(plan.params, "psi", "psi_values", 1.0)
-    _generator_kwargs(plan.generator, params)  # refuse a bad key before any solve
+    for psi in psi_values:  # refuse a bad key or value before any solve or write
+        _generator_kwargs(plan.generator, {**params, "psi": psi})
     # each psi names its history files, so two that print alike would collide
     stems = [f"{psi:g}" for psi in psi_values]
     if len(set(stems)) < len(stems):

@@ -206,13 +206,22 @@ class FctPreconditioner:
         if self._upper is None:
             shift, off = self.plane_shift, self.off
             nz = self.grid.nz
+            # `upper` holds the pivots of layers 0..nz-2 until every pivot is
+            # checked, then the multipliers off / pivot. A bad pivot spoils
+            # only the layers after it, and the check names the first one.
             upper = np.empty((nz - 1,) + shift.shape, dtype=self.dtype)
             pivot = self.z_diag[0] + shift
-            for k in range(nz - 1):
-                _check_pivot(pivot, k)
-                np.divide(off, pivot, out=upper[k])
-                pivot = (self.z_diag[k + 1] + shift) - off * upper[k]
-            _check_pivot(pivot, nz - 1)
+            scratch = np.empty_like(pivot)
+            with np.errstate(all="ignore"):
+                for k in range(nz - 1):
+                    # pivot <- (z_diag[k+1] + shift) - off * (off / pivot)
+                    upper[k] = pivot
+                    np.divide(off, pivot, out=scratch)
+                    scratch *= off
+                    np.add(self.z_diag[k + 1], shift, out=pivot)
+                    pivot -= scratch
+            _check_pivots(upper, pivot)
+            np.divide(off, upper, out=upper)
             # off < 0 < pivot, so every multiplier is negative
             if upper.size and not upper.max() <= -np.finfo(self.dtype).tiny:
                 raise FloatingPointError(
@@ -231,9 +240,14 @@ class FctPreconditioner:
         return fct_backward_batch(work, out=work).reshape(-1)
 
 
-def _check_pivot(pivot: np.ndarray, k: int) -> None:
-    if not np.all(pivot > 0):
-        raise FloatingPointError(f"non-positive pivot in tridiagonal solve at layer {k}")
+def _check_pivots(pivots: np.ndarray, last_pivot: np.ndarray) -> None:
+    """Raise on the first layer whose pivot plane holds a value that is not
+    positive (NaN included): one minimum per layer, over the (nz-1, ny, nx)
+    pivots and the last plane."""
+    lows = np.append(pivots.min(axis=(1, 2)), last_pivot.min())
+    bad = np.flatnonzero(~(lows > 0))
+    if bad.size:
+        raise FloatingPointError(f"non-positive pivot in tridiagonal solve at layer {bad[0]}")
 
 
 def thomas_solve_batch(pre: FctPreconditioner, rhs: np.ndarray) -> np.ndarray:

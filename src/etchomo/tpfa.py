@@ -9,7 +9,7 @@ its diagonal, the SSOR triangles and the dense oracle all read these bands
 through `DiscreteSystem.bands`; only this module writes them.
 
 `apply_operator` evaluates the 7-point stencil directly on the flat vector.
-It walks the grid in slabs of whole z-layers, about `_SLAB_BYTES` per
+It walks the grid in slabs of whole z-layers, about `_BLOCK_BYTES` per
 array, so the fluxes of one slab live in one small buffer instead of a
 full-grid array. Boundary potentials enter through the right-hand side with
 ghost values fixed at zero outside the domain.
@@ -25,13 +25,10 @@ from .grid import (
     ConfigError,
     GridSpec,
     OrthotropicField,
+    _BLOCK_BYTES,
     _center_vectors,
     _positive_finite_extremes,
 )
-
-# bytes of one slab per array in `apply_operator`; a slab is never less than
-# one z-layer, and a grid smaller than one slab runs as one slab
-_SLAB_BYTES = 256 * 1024
 
 
 def _layout(grid: GridSpec) -> tuple:
@@ -168,7 +165,8 @@ def apply_operator(
     contiguous array of u's size and dtype that does not overlap `u`.
 
     Works on the flat x-fastest vector, one slab [a, b) of whole z-layers at
-    a time (`_SLAB_BYTES` per array, at least one layer), so the fluxes of a
+    a time (`_BLOCK_BYTES` per array, at least one layer; a grid smaller than
+    one slab runs as one slab), so the fluxes of a
     slab sit in one small buffer that stays in cache. A slab writes only its
     own cells of `out`, and zeroes them as it starts. For each band (s, t) the
     faces p in [a-s, b) within [0, n-s) touch the slab; their fluxes
@@ -197,7 +195,7 @@ def apply_operator(
         raise ValueError("out must be a contiguous array of u's size and dtype, apart from u")
     else:
         out = out.reshape(-1)
-    slab = max(1, _SLAB_BYTES // (nxy * u.itemsize)) * nxy
+    slab = max(1, _BLOCK_BYTES // (nxy * u.itemsize)) * nxy
     # a slab's faces: its own and at most one layer below it
     flux = np.empty(min(slab + nxy, n), dtype=u.dtype)
     bands = sys.bands()

@@ -6,7 +6,7 @@ slab, along x and along y, by one of two branches chosen by the plane shape:
 * Planes whose sides are both at most `_MATRIX_MAX_SIDE` are transformed as
   two matrix products per slab of layers, `u[k] @ Mx.T` and then `My @ .`,
   with the (n, n) transform matrix of each axis. The slab is walked in
-  chunks of about `_CHUNK_BYTES`, so the half-transformed layers sit in one
+  chunks of about `_BLOCK_BYTES`, so the half-transformed layers sit in one
   small scratch buffer and a chunk may be written back over its own input.
 * Wider planes go to scipy's pocketfft (an FFT-based fast cosine transform
   after Makhoul, IEEE Trans. ASSP 28(1), 1980), copied into the output
@@ -46,12 +46,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .grid import _BLOCK_BYTES
+
 _PLANE = (1, 2)
 # planes with both sides at most this wide are transformed by matrix products
 _MATRIX_MAX_SIDE = 64
-# bytes of half-transformed layers held in scratch by the product branch; a
-# chunk is never less than one layer
-_CHUNK_BYTES = 256 * 1024
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +82,8 @@ def _transform(data: np.ndarray, out, forward: bool) -> np.ndarray:
     if max(ny, nx) <= _MATRIX_MAX_SIDE:
         my = _axis_matrix(ny, data.dtype, forward)
         mx_t = _axis_matrix(nx, data.dtype, forward).T
-        layers = max(1, _CHUNK_BYTES // (ny * nx * data.itemsize))
+        # the half-transformed layers of one chunk, at least one layer, in scratch
+        layers = max(1, _BLOCK_BYTES // (ny * nx * data.itemsize))
         scratch = np.empty((min(layers, nz) * ny, nx), dtype=data.dtype)
         for a in range(0, nz, layers):
             b = min(a + layers, nz)

@@ -10,7 +10,17 @@ import pytest
 
 import etchomo.cli
 import etchomo.preconditioner
-from etchomo import Axis, BoundaryConfig, gen_center_ball, gen_channels, homogenize, write_vox
+from etchomo import (
+    Axis,
+    BoundaryConfig,
+    gen_center_ball,
+    gen_channels,
+    gen_random_balls,
+    gen_smooth_problem,
+    homogenize,
+    read_vox,
+    write_vox,
+)
 from etchomo.cli import build_parser, main
 
 SPEC_FLAGS = [
@@ -251,11 +261,80 @@ def test_generate_channels_misaligned_exit_2(tmp_path, capsys):
 
 def test_generate_negative_seed_exit_2(tmp_path, capsys):
     code = main([
-        "generate", "--config", "random-balls", "--n", "8", "--seed", "-1",
+        "generate", "--config", "random-balls", "--n", "8", "--preset", "a", "--seed", "-1",
         "-o", str(tmp_path / "neg.vox"),
     ])
     assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    assert "configuration error: seed must lie in" in capsys.readouterr().err
+
+
+def _same_field(path, want):
+    got = read_vox(path)
+    assert got.grid == want.grid
+    for comp in ("kx", "ky", "kz"):
+        assert np.array_equal(getattr(got, comp), getattr(want, comp))
+
+
+def test_generator_flags_beside_a_preset_override_it(tmp_path):
+    base = ["generate", "--config", "random-balls", "--n", "8", "--preset", "a"]
+    both, alone = tmp_path / "both.vox", tmp_path / "alone.vox"
+    assert main([*base, "--count", "5", "--seed", "3", "--kappa-inc", "50", "-o", str(both)]) == 0
+    assert main([*base, "-o", str(alone)]) == 0
+    assert both.read_bytes() != alone.read_bytes()
+    _same_field(both, gen_random_balls(8, 5, 0.05, 0.15, 50.0, 3))
+    _same_field(alone, gen_random_balls(8, 40, 0.05, 0.15, 10.0, 11))
+
+
+@pytest.mark.parametrize("flags, want", [
+    (["--config", "center-ball", "--n", "6"], lambda: gen_center_ball(6, 10.0)),
+    (["--config", "random-balls", "--n", "8", "--count", "3", "--r-min", "0.1", "--r-max", "0.2"],
+     lambda: gen_random_balls(8, 3, 0.1, 0.2, 10.0, 0)),
+    (["--config", "channels", "--periods", "1"], lambda: gen_channels(8, 1, 1.0)),
+    (["--config", "smooth", "--n", "5"], lambda: gen_smooth_problem(5)[0]),
+])
+def test_unset_generator_flags_take_the_make_field_defaults(tmp_path, flags, want):
+    vox = tmp_path / "g.vox"
+    assert main(["generate", *flags, "-o", str(vox)]) == 0
+    _same_field(vox, want())
+
+
+@pytest.mark.parametrize("argv, generator, keys", [
+    (["generate", "--config", "smooth", "--n", "8", "--kappa-inc", "50"], "smooth", "kappa_inc"),
+    (["generate", "--config", "channels", "--n", "8", "--count", "3"], "channels", "count"),
+    (["generate", "--config", "center-ball", "--n", "6", "--preset", "a"], "center-ball", "preset"),
+    (["compare", "--config", "smooth", "--n", "8", "--kappa-inc", "100", "--psi", "3"],
+     "smooth", "kappa_inc, psi"),
+    (["precision", "--config", "center-ball", "--n", "6", "--seed", "3"], "center-ball", "seed"),
+])
+def test_generator_flag_that_the_config_does_not_read_exits_2(tmp_path, capsys, monkeypatch,
+                                                              argv, generator, keys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(etchomo.pipeline, "homogenize", unreachable)
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"etc: configuration error: the {generator} generator takes no {keys}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["channels", "--psi", "1", "--psi", "-1", "--n", "8", "--periods", "1", "--rtol", "1e-5"],
+     "psi must be positive"),
+    (["convergence", "--config", "center-ball", "--n", "8", "--n", "1"], "center-ball needs n >= 2"),
+    (["convergence", "--config", "smooth", "--n", "8", "--n", "1"], "smooth problem needs n >= 2"),
+])
+def test_bad_sweep_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, argv, match):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(etchomo.pipeline, "homogenize", unreachable)
+    monkeypatch.setattr(etchomo.pipeline, "solve_smooth", unreachable)
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"etc: configuration error: {match}\n"
+    assert not out.exists()
 
 
 def test_solve_threads_do_not_change_the_result(tmp_path, capsys):

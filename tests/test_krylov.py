@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from etchomo import krylov
 from etchomo import (
     FctPreconditioner,
     PcgBreakdownError,
@@ -254,6 +257,65 @@ class TestPcgBreakdown:
         with pytest.raises(PcgBreakdownError, match="residual is not finite") as err:
             pcg(apply_a, identity_apply, np.ones(3, dtype), 1e-12)
         assert err.value.iteration == at
+
+
+def _fct_case(dtype, boundary_z):
+    """A mild 7x6x9 FCT system in `dtype` (378 cells): the operator, the
+    preconditioner and the right-hand side."""
+    rng = np.random.default_rng(5)
+    sys = build_system(random_field(rng, 7, 6, 9, contrast=3.0, dtype=dtype), boundary_z)
+    apply_m = FctPreconditioner(sys.grid, solve_reference_lp(coefficient_stats(sys)), dtype)
+    return (lambda u: apply_operator(sys, u)), apply_m, build_rhs(sys)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestChunkedPhases:
+    """pcg walks its vectors in chunks of `_BLOCK_BYTES` per vector; a small
+    block makes the 378-cell system span many chunks, the last one partial."""
+
+    @staticmethod
+    def chunked(monkeypatch, dtype, entries):
+        monkeypatch.setattr(krylov, "_BLOCK_BYTES", entries * np.dtype(dtype).itemsize)
+
+    @pytest.mark.parametrize("entries", [1, 17, 50])
+    def test_many_chunks_follow_the_one_chunk_run(self, dtype, entries, boundary_z, monkeypatch):
+        apply_a, apply_m, b = _fct_case(dtype, boundary_z)
+        rtol, tol = (1e-10, 1e-12) if dtype == np.float64 else (1e-5, 1e-5)
+        assert b.size * b.itemsize <= krylov._BLOCK_BYTES  # one chunk
+        p_one, rep_one = pcg(apply_a, apply_m, b, rtol)
+        self.chunked(monkeypatch, dtype, entries)
+        assert b.size % entries or entries == 1
+        p, rep = pcg(apply_a, apply_m, b, rtol)
+        assert p.dtype == dtype and rep.converged
+        assert rep.iterations == rep_one.iterations
+        assert np.allclose(rep.relative_residuals, rep_one.relative_residuals, rtol=tol, atol=0)
+        assert np.linalg.norm(p - p_one) <= tol * np.linalg.norm(p_one)
+
+    def test_overwritten_b_holds_the_final_residual(self, dtype, boundary_z, monkeypatch):
+        apply_a, apply_m, b = _fct_case(dtype, boundary_z)
+        self.chunked(monkeypatch, dtype, 50)
+        kept = b.copy()
+        p_kept, rep_kept = pcg(apply_a, apply_m, b, 1e-6)
+        assert np.array_equal(b, kept)
+        p, rep = pcg(apply_a, apply_m, b, 1e-6, overwrite_b=True)
+        assert np.array_equal(p, p_kept)
+        assert rep.relative_residuals == rep_kept.relative_residuals
+        # each history entry is the root of the chunk-summed squares of r
+        norm_b = float(np.linalg.norm(kept))
+        squares = sum(float(np.dot(b[a:a + 50], b[a:a + 50])) for a in range(0, b.size, 50))
+        assert rep.relative_residuals[-1] == math.sqrt(squares) / norm_b
+        eps = float(np.finfo(dtype).eps)
+        assert np.linalg.norm(b) / norm_b == pytest.approx(rep.relative_residuals[-1],
+                                                          rel=10 * eps)
+
+    def test_breakdowns_over_chunks(self, dtype, monkeypatch):
+        self.chunked(monkeypatch, dtype, 1)
+        mat = np.diag([1.0, -1.0, 1.0]).astype(dtype)
+        with pytest.raises(PcgBreakdownError, match="lost positivity") as err:
+            pcg(lambda u: mat @ u, identity_apply, np.array([0.1, 1.0, 0.1], dtype), 1e-12)
+        assert err.value.iteration == 1
+        with pytest.raises(PcgBreakdownError, match="residual is not finite"):
+            pcg(lambda u: np.full_like(u, np.nan), identity_apply, np.ones(3, dtype), 1e-12)
 
 
 class TestDenseSolve:

@@ -446,6 +446,22 @@ class TestRefusedSettings:
         with pytest.raises(ConfigError, match="_values is empty"):
             study(ExperimentPlan(generator, params))
 
+    @pytest.mark.parametrize("study, generator, params, match", [
+        (run_convergence_study, "center-ball", {"n_values": [8, 1]}, "center-ball needs n >= 2"),
+        (run_convergence_study, "smooth", {"n_values": [8, 16, 1]}, "smooth problem needs n >= 2"),
+        (run_convergence_study, "center-ball", {"n_values": [8], "kappa_inc": -1.0},
+         "kappa_inc must be positive"),
+        (channels_study, "channels", {**_CHAN, "psi_values": [1.0, -1.0]}, "psi must be positive"),
+        (channels_study, "channels", {**_CHAN, "cells_per_period": 12}, "multiple of 8"),
+    ])
+    def test_every_sweep_value_before_the_first_solve(self, monkeypatch, tmp_path, study,
+                                                      generator, params, match):
+        _no_solve(monkeypatch)
+        plan = ExperimentPlan(generator, params, out_dir=tmp_path)
+        with pytest.raises(ConfigError, match=match):
+            study(plan)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("psi_values", [[1.0, 1.0000001], [2.5, 2.5], [1.0, 2.0, 1.0]])
     def test_channels_psi_values_sharing_a_history_name(self, monkeypatch, tmp_path, psi_values):
         _no_solve(monkeypatch)

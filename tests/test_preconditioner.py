@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,33 @@ class TestTridiag:
         fac.z_diag[2] = np.nan
         with pytest.raises(FloatingPointError, match="layer 2"):
             thomas_solve_batch(fac, np.ones((4, 2, 3)))
+
+    @pytest.mark.parametrize("layer, value", [(0, 0.0), (0, -1.0), (3, 0.0), (3, -2.0),
+                                              (5, 0.0), (5, np.nan)])
+    def test_first_bad_pivot_is_named_without_warnings(self, layer, value):
+        # the pivots are checked after the loop, so the layers past a bad one
+        # divide by zero or by NaN; that must stay silent and the message
+        # must name the first bad layer
+        fac = FctPreconditioner(GridSpec(3, 2, 6), ReferenceParams(1, 1, 1, 1, 1))
+        fac.z_diag[layer] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=f"at layer {layer}$"):
+                fac.elimination()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("nz", [1, 2, 7])
+    def test_factors_equal_the_layer_by_layer_elimination(self, dtype, nz):
+        fac = FctPreconditioner(GridSpec(5, 4, nz), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), dtype)
+        shift, off, zd = fac.plane_shift, fac.off, fac.z_diag
+        want = np.empty((nz - 1,) + shift.shape, dtype=dtype)
+        pivot = zd[0] + shift
+        for k in range(nz - 1):
+            np.divide(off, pivot, out=want[k])
+            pivot = (zd[k + 1] + shift) - off * want[k]
+        upper, last_pivot = fac.elimination()
+        assert np.array_equal(upper, want) and np.array_equal(last_pivot, pivot)
+        assert upper.dtype == last_pivot.dtype == dtype
 
     def test_underflowing_multiplier_raises(self):
         # kz_ref / kx_ref = 1e-40: off / pivot is below the smallest normal

@@ -207,7 +207,7 @@ class TestStencilBits:
         nx, ny, nz = dims
         layers = {"all": nz, "more": nz + 4}.get(layers, layers)
         layer_bytes = nx * ny * np.dtype(dtype).itemsize
-        monkeypatch.setattr(tpfa, "_SLAB_BYTES", max(1, layers * layer_bytes))
+        monkeypatch.setattr(tpfa, "_BLOCK_BYTES", max(1, layers * layer_bytes))
         rng = np.random.default_rng(sum(dims) + layers)
         sys = build_system(random_field(rng, *dims, dtype=dtype), boundary_z)
         n = sys.grid.n_cells
@@ -224,7 +224,7 @@ class TestStencilBits:
         rng = np.random.default_rng(29)
         sys = build_system(random_field(rng, 64, 64, 64), boundary_z)
         u = rng.standard_normal(sys.grid.n_cells)
-        assert tpfa._SLAB_BYTES < u.nbytes // 4  # several slabs at this size
+        assert tpfa._BLOCK_BYTES < u.nbytes // 4  # several slabs at this size
         apply_operator(sys, u)
         tracemalloc.start()
         try:

@@ -218,7 +218,7 @@ def test_products_run_in_chunks_of_layers(dtype, monkeypatch):
     rng = np.random.default_rng(10)
     v = rng.standard_normal((7, 5, 6)).astype(dtype)
     whole, whole_back = fct_forward_batch(v), fct_backward_batch(v)
-    monkeypatch.setattr(transforms, "_CHUNK_BYTES", 2 * 5 * 6 * v.itemsize)
+    monkeypatch.setattr(transforms, "_BLOCK_BYTES", 2 * 5 * 6 * v.itemsize)
     assert np.array_equal(fct_forward_batch(v), whole)
     assert np.array_equal(fct_backward_batch(v), whole_back)
     in_place = v.copy()
