@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="mesh-refinement study")
     p.add_argument("--config", choices=["smooth", "center-ball"], required=True)
     p.add_argument("--n", type=_positive_int, action="append", help="cells per axis (repeatable)")
-    p.add_argument("--kappa-inc", type=float, default=10.0, help="center-ball only")
+    p.add_argument("--kappa-inc", type=float, help="center-ball only")
     _add_solver_flags(p)
     p.add_argument("-o", dest="output", required=True, help="output directory")
 
@@ -218,7 +218,7 @@ def _plan(args, params: dict, **overrides) -> ExperimentPlan:
 
 def cmd_convergence(args) -> int:
     params = {"n_values": args.n or [16, 32, 64]}
-    if args.config == "center-ball":
+    if args.kappa_inc is not None:
         params["kappa_inc"] = args.kappa_inc
     rows = pipeline.run_convergence_study(_plan(args, params))
     for row in rows:

@@ -68,13 +68,16 @@ def pcg(
     chunks of `_BLOCK_BYTES` per vector, so that all the ops of a phase find
     a chunk in cache and each vector is read from memory once per phase:
     (A) after z = A w, the sums z.w, |z|^2 and |w|^2 of the breakdown guard;
-    (B) z *= alpha; r -= z; z = alpha w; p += z, and |r|^2, with the
-    operator's output z as the only scratch; (D) w = beta w + z' with
-    z' = M^-1 r. rho' = r.z' is one whole-vector dot, since beta needs it
-    before (D). The partial sums are added in Python floats, so a history
-    entry is the square root of the chunk-summed squares of r over |b|. The
-    updates give the bits of whole-vector updates; an f64 system of at most
-    one chunk (32768 cells) also keeps the bits of whole-vector reductions.
+    (B) z *= alpha; r -= z, and |r|^2, in the operator's output z;
+    (D) t = alpha w; p += t; w = beta w + z' with z' = M^-1 r, where t is
+    one chunk of scratch, so w is read once per iteration. rho' = r.z' is
+    one whole-vector dot, since beta needs it before (D). The iteration that
+    stops, on rtol or on max_iter, skips M^-1 and runs (D) as t = alpha w;
+    p += t alone. The partial sums are added in Python floats, so a history
+    entry is the square root of the chunk-summed squares of r over |b|; the
+    first entry is 1 exactly, since r = b there. The updates give the bits
+    of whole-vector updates; an f64 system of at most one chunk (32768
+    cells) also keeps the bits of whole-vector reductions.
     """
     if not rtol > 0.0:
         raise ValueError("rtol must be positive")
@@ -98,9 +101,9 @@ def pcg(
     # each chunk's slice and its views of the three work vectors
     chunks = [(slice(a, a + step), r[a:a + step], p[a:a + step], w[a:a + step])
               for a in range(0, b.size, step)]
-    history = [float(np.linalg.norm(r)) / norm_b]
+    history = [1.0]
     iteration = 0
-    while history[-1] > rtol and iteration < max_iter:
+    while history[-1] > rtol:
         z = apply_A(w)
         if any(np.may_share_memory(z, v) for v in (w, r, p)):
             z = z.copy()
@@ -114,12 +117,10 @@ def pcg(
             raise PcgBreakdownError("operator inner product lost positivity", iteration + 1)
         alpha = b.dtype.type(rho / zw)
         rr = 0.0
-        for s, rc, pc, wc in chunks:
+        for s, rc, _, _ in chunks:
             zc = z[s]
             zc *= alpha
             rc -= zc
-            np.multiply(wc, alpha, out=zc)
-            pc += zc
             rr += float(np.dot(rc, rc))
         del z, zc
         relres = math.sqrt(rr) / norm_b
@@ -127,16 +128,26 @@ def pcg(
             raise PcgBreakdownError("residual is not finite", iteration + 1)
         history.append(relres)
         iteration += 1
-        if relres <= rtol:
+        stop = relres <= rtol or iteration == max_iter
+        if not stop:
+            z = apply_M_inv(r)
+            rho_next = float(np.dot(r, z))
+            if rho_next <= 0.0:
+                raise PcgBreakdownError("preconditioned inner product not positive", iteration)
+            beta = b.dtype.type(rho_next / rho)
+            rho = rho_next
+        # allocated per phase, so the scratch is not live while a callback
+        # runs and adds nothing to the solve's peak memory
+        scratch = np.empty(min(step, b.size), dtype=b.dtype)
+        for s, _, pc, wc in chunks:
+            tc = scratch[:pc.size]
+            np.multiply(wc, alpha, out=tc)
+            pc += tc
+            if not stop:
+                wc *= beta
+                wc += z[s]
+        del scratch, tc
+        if stop:
             break
-        z = apply_M_inv(r)
-        rho_next = float(np.dot(r, z))
-        if rho_next <= 0.0:
-            raise PcgBreakdownError("preconditioned inner product not positive", iteration)
-        beta = b.dtype.type(rho_next / rho)
-        for s, _, _, wc in chunks:
-            wc *= beta
-            wc += z[s]
         del z
-        rho = rho_next
     return p, SolveReport(iteration, history[-1] <= rtol, history)

@@ -6,8 +6,8 @@ layers). Under the plane-wise cosine transform it block-diagonalizes into
 independent tridiagonal systems along z, one per transformed (x, y) mode.
 `FctPreconditioner` factors each block once, by non-pivoting symmetric
 elimination T = U^T D U (diagonal dominance makes that safe), and every
-apply reuses the factors: a unit-lower sweep, a pivot scaling and a
-unit-upper sweep.
+apply reuses the factors: a unit-lower sweep, a pivot scaling (folded into
+the lower sweep on wide planes) and a unit-upper sweep.
 
 Reference constants come either from a closed-form solution of the
 log-domain min-max program over the coefficient statistics ("opt") or are
@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import ConfigError, GridSpec
 from .tpfa import DiscreteSystem, operator_diagonal
-from .transforms import fct_backward_batch, fct_forward_batch
+from .transforms import _narrow, fct_backward_batch, fct_forward_batch
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,11 @@ class FctPreconditioner:
     factors' memory.
 
     Every apply runs in one grid array, `workspace`, allocated on first use
-    and returned as the result; each apply overwrites it.
+    and returned as the result; each apply overwrites it. The transforms run
+    unscaled: the forward leaves 4x the normalized coefficients, the solve is
+    linear, and the backward takes the 4 back out, so the result has the
+    bits of the normalized pair without its two scaling passes on wide
+    planes.
     """
 
     __slots__ = ("grid", "dtype", "plane_shift", "z_diag", "off", "_upper",
@@ -235,9 +239,9 @@ class FctPreconditioner:
         """`r` is left untouched unless it is the workspace; the result is the
         flat workspace, valid until the next apply."""
         r = np.asarray(r, dtype=self.dtype).reshape(self.grid.shape)
-        work = fct_forward_batch(r, out=self.workspace)
+        work = fct_forward_batch(r, out=self.workspace, unscaled=True)
         thomas_solve_batch(self, work)
-        return fct_backward_batch(work, out=work).reshape(-1)
+        return fct_backward_batch(work, out=work, unscaled=True).reshape(-1)
 
 
 def _check_pivots(pivots: np.ndarray, last_pivot: np.ndarray) -> None:
@@ -255,23 +259,35 @@ def thomas_solve_batch(pre: FctPreconditioner, rhs: np.ndarray) -> np.ndarray:
     in `rhs` (a contiguous grid array); returns the solution in its shape.
 
     Uses the cached factors T = U^T D U over the whole (ny, nx) plane at once:
-    a unit-lower sweep, one scaling by the inverse pivots and a unit-upper
+    a unit-lower sweep, a scaling by the inverse pivots and a unit-upper
     sweep. The sweeps walk the factors' cached plane views alongside a list
     of the right-hand side's layer views, with two ufunc calls into one
-    plane of scratch per layer. The first call on `pre` also factors the
-    blocks.
+    plane of scratch per layer. On planes that the transforms treat as wide
+    (see `transforms._narrow`), the lower sweep scales each layer right after
+    it has fed the next one, while the layer is still in cache; on narrow
+    planes, where two more calls per layer would cost more than they save,
+    one whole-array pass scales all layers after the sweep. Both forms run
+    the same operations in the same order. The first call on `pre` also
+    factors the blocks.
     """
     upper, last_pivot = pre.elimination()
-    planes = pre._upper_planes
+    planes, off = pre._upper_planes, pre.off
     x = rhs.reshape(pre.grid.shape)
     xs = list(x)
     scratch = np.empty(x.shape[1:], dtype=x.dtype)
-    for l, prev, xk in zip(planes, xs, xs[1:]):
-        np.multiply(l, prev, scratch)
-        np.subtract(xk, scratch, xk)
     # 1/pivot_k = upper_k / off for every layer but the last
-    x[:-1] *= upper
-    x[:-1] /= pre.off
+    if _narrow(*x.shape[1:]):
+        for l, prev, xk in zip(planes, xs, xs[1:]):
+            np.multiply(l, prev, scratch)
+            np.subtract(xk, scratch, xk)
+        x[:-1] *= upper
+        x[:-1] /= off
+    else:
+        for l, prev, xk in zip(planes, xs, xs[1:]):
+            np.multiply(l, prev, scratch)
+            np.subtract(xk, scratch, xk)
+            prev *= l
+            prev /= off
     x[-1] /= last_pivot
     for l, nxt, xk in zip(reversed(planes), reversed(xs[1:]), reversed(xs[:-1])):
         np.multiply(l, nxt, scratch)

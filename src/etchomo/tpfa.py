@@ -27,7 +27,6 @@ from .grid import (
     OrthotropicField,
     _BLOCK_BYTES,
     _center_vectors,
-    _positive_finite_extremes,
 )
 
 
@@ -94,10 +93,12 @@ class DiscreteSystem:
                 if np.any(wraps):
                     raise ConfigError(f"{name} must be 0 at its wrap entries")
             if faces.size:
-                extremes = _positive_finite_extremes(faces)
-                if extremes is None:
+                # the wraps are 0, so once the faces' minimum is positive the
+                # band's maximum is theirs, read contiguously
+                lo, hi = faces.min(), arr.max()
+                if not (lo > 0 and hi < np.inf):
                     raise ConfigError(f"{name} must be strictly positive")
-                self._extremes[name] = extremes
+                self._extremes[name] = (lo, hi)
             arr.setflags(write=False)
 
     @property

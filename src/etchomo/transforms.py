@@ -27,11 +27,19 @@ Conventions, fixed once for every consumer in the package:
     backward:  u[i] = (2/N) * sum_q u_hat[q] * a[q] * cos(pi*(2i+1)*q / (2N))
 
 with a[0] = 1/2 and a[q] = 1 otherwise, so backward(forward(u)) == u.
-scipy's unnormalized DCT-II carries a factor 2 per axis, hence the 1/4 and 4
-below (1/2 and 2 per axis in the matrices); both are powers of two and cost
-no rounding. The matrices are scipy's own transforms of the identity, so
-both branches share one definition of the convention.
+scipy's unnormalized DCT-II carries a factor 2 per axis, hence a 1/4 pass
+after pocketfft's forward and a 4 pass after its backward (1/2 and 2 per axis
+in the matrices). Both are powers of two and cost no rounding, away from
+subnormals and overflow. The matrices are scipy's own transforms of the
+identity, so both branches share one definition of the convention.
 `oracles.dct1d_ref_forward` is the O(N^2) direct-summation check of it.
+
+`unscaled=True` gives scipy's own scale instead: the forward result is 4x,
+the backward result 1/4x the normalized one, bit for bit, and the pair still
+inverts. A caller that runs the pair around a linear solve, as the FCT
+preconditioner does, gets the bits of the normalized pair with two fewer
+full-grid passes on the pocketfft branch; the product branch uses matrices
+without the per-axis factor and costs the same either way.
 
 `scipy.fft` is imported on first use: it also loads `scipy.special`, which
 costs every `import etchomo` about 27 MB of RSS and a quarter of a second.
@@ -53,35 +61,42 @@ _PLANE = (1, 2)
 _MATRIX_MAX_SIDE = 64
 
 
+def _narrow(ny: int, nx: int) -> bool:
+    """Whether (ny, nx) planes are transformed by matrix products."""
+    return max(ny, nx) <= _MATRIX_MAX_SIDE
+
+
 @lru_cache(maxsize=None)
-def _axis_matrix(n: int, dtype: np.dtype, forward: bool) -> np.ndarray:
+def _axis_matrix(n: int, dtype: np.dtype, forward: bool, unscaled: bool) -> np.ndarray:
     """The (n, n) matrix of the transform along one axis in `dtype`: scipy's
     DCT-II (forward) or its inverse (backward) applied to the identity, with
-    the per-axis factor 1/2 or 2. Built in f64 and rounded once; read-only,
-    since the cache hands the same array to every caller. Only sides up to
-    `_MATRIX_MAX_SIDE` are built, so the cache stays small."""
+    the per-axis factor 1/2 or 2 unless `unscaled`. Built in f64 and rounded
+    once; read-only, since the cache hands the same array to every caller.
+    Only sides up to `_MATRIX_MAX_SIDE` are built, so the cache stays small."""
     import scipy.fft
 
     eye = np.eye(n)
     if forward:
-        mat = scipy.fft.dct(eye, type=2, axis=0) * 0.5
+        mat = scipy.fft.dct(eye, type=2, axis=0)
     else:
-        mat = scipy.fft.idct(eye, type=2, axis=0) * 2.0
+        mat = scipy.fft.idct(eye, type=2, axis=0)
+    if not unscaled:
+        mat *= 0.5 if forward else 2.0
     mat = mat.astype(dtype)
     mat.setflags(write=False)
     return mat
 
 
-def _transform(data: np.ndarray, out, forward: bool) -> np.ndarray:
+def _transform(data: np.ndarray, out, forward: bool, unscaled: bool) -> np.ndarray:
     data = np.asarray(data)
     if data.dtype not in (np.float32, np.float64):
         data = data.astype(np.float64)
     if out is None:
         out = np.empty(data.shape, dtype=data.dtype)
     nz, ny, nx = data.shape
-    if max(ny, nx) <= _MATRIX_MAX_SIDE:
-        my = _axis_matrix(ny, data.dtype, forward)
-        mx_t = _axis_matrix(nx, data.dtype, forward).T
+    if _narrow(ny, nx):
+        my = _axis_matrix(ny, data.dtype, forward, unscaled)
+        mx_t = _axis_matrix(nx, data.dtype, forward, unscaled).T
         # the half-transformed layers of one chunk, at least one layer, in scratch
         layers = max(1, _BLOCK_BYTES // (ny * nx * data.itemsize))
         scratch = np.empty((min(layers, nz) * ny, nx), dtype=data.dtype)
@@ -104,25 +119,32 @@ def _transform(data: np.ndarray, out, forward: bool) -> np.ndarray:
     # pocketfft hands that memory back as a new array object
     if not np.may_share_memory(got, out):
         np.copyto(out, got)
-    out *= 0.25 if forward else 4.0
+    if not unscaled:
+        out *= 0.25 if forward else 4.0
     return out
 
 
-def fct_forward_batch(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def fct_forward_batch(
+    data: np.ndarray, out: np.ndarray | None = None, *, unscaled: bool = False
+) -> np.ndarray:
     """Forward-transform every k-slice of a (nz, ny, nx) slab.
 
     Returns the cosine coefficients [k, q_y, q_x] in `out`, a contiguous
     array of the slab's shape and float dtype, or in a new one when `out` is
-    None. `data` is left untouched unless it is `out`.
+    None. `data` is left untouched unless it is `out`. `unscaled=True`
+    returns exactly 4x the coefficients, for use with the unscaled backward.
     """
-    return _transform(data, out, True)
+    return _transform(data, out, True, unscaled)
 
 
-def fct_backward_batch(coeff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def fct_backward_batch(
+    coeff: np.ndarray, out: np.ndarray | None = None, *, unscaled: bool = False
+) -> np.ndarray:
     """Backward-transform every k-slice of a (nz, ny, nx) coefficient slab.
 
     Inverse of fct_forward_batch including all normalization weights. Writes
     into `out` as fct_forward_batch does; `out` may be `coeff` itself, which
-    transforms it in place.
+    transforms it in place. `unscaled=True` returns exactly 1/4x the result,
+    the inverse of the unscaled forward.
     """
-    return _transform(coeff, out, False)
+    return _transform(coeff, out, False, unscaled)

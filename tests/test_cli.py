@@ -107,16 +107,29 @@ def test_convergence_takes_only_its_two_configs(tmp_path, capsys, config):
     assert not out.exists()
 
 
-def test_convergence_passes_kappa_inc_to_center_ball_only(tmp_path, monkeypatch):
+def test_convergence_passes_kappa_inc_to_center_ball_only(tmp_path, capsys, monkeypatch):
+    # unset, it leaves the center-ball default to make_field; smooth refuses
+    # it before any solve
     plans = []
     monkeypatch.setattr(etchomo.pipeline, "run_convergence_study",
                         lambda plan: plans.append(plan) or [])
-    for config in ("smooth", "center-ball"):
-        assert main(["convergence", "--config", config, "--n", "6", "--kappa-inc", "5",
+    for extra in ([], ["--kappa-inc", "5"]):
+        assert main(["convergence", "--config", "center-ball", "--n", "6", *extra,
                      "-o", str(tmp_path)]) == 0
     assert [plan.params for plan in plans] == [
         {"n_values": [6]}, {"n_values": [6], "kappa_inc": 5.0}
     ]
+    monkeypatch.undo()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(etchomo.pipeline, "solve_smooth", unreachable)
+    out = tmp_path / "smooth"
+    assert main(["convergence", "--config", "smooth", "--n", "6", "--kappa-inc", "5",
+                 "-o", str(out)]) == 2
+    assert "smooth generator takes no kappa_inc" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_channels_psi_values_sharing_a_history_name_exit_2(tmp_path, capsys, monkeypatch):

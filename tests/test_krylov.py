@@ -82,7 +82,7 @@ class TestPcg:
         _, rep = pcg(lambda u: apply_operator(sys, u), apply_m, b, 1e-9)
         assert rep.converged
         assert rep.iterations == len(rep.relative_residuals) - 1
-        assert rep.relative_residuals[0] == pytest.approx(1.0)
+        assert rep.relative_residuals[0] == 1.0
         assert rep.relative_residuals[-1] <= 1e-9
 
     def test_max_iter_reports_unconverged(self, boundary_z):
@@ -290,6 +290,25 @@ class TestChunkedPhases:
         assert rep.iterations == rep_one.iterations
         assert np.allclose(rep.relative_residuals, rep_one.relative_residuals, rtol=tol, atol=0)
         assert np.linalg.norm(p - p_one) <= tol * np.linalg.norm(p_one)
+
+    @pytest.mark.parametrize("entries", [1, 17, 50])
+    def test_max_iter_stop_gives_the_p_of_an_rtol_stop(self, dtype, entries, boundary_z, monkeypatch):
+        # the stopping iteration adds its last alpha w to p, whichever test stops it
+        apply_a, apply_m, b = _fct_case(dtype, boundary_z)
+        self.chunked(monkeypatch, dtype, entries)
+        _, rep = pcg(apply_a, apply_m, b, 1e-30, max_iter=6)
+        hist = rep.relative_residuals
+        for k in (1, 2, 5):
+            assert min(hist[:k]) > hist[k]
+            p_rtol, rep_rtol = pcg(apply_a, apply_m, b, hist[k])
+            p_max, rep_max = pcg(apply_a, apply_m, b, 1e-30, max_iter=k)
+            assert rep_rtol.iterations == rep_max.iterations == k
+            assert rep_rtol.converged and not rep_max.converged
+            assert rep_rtol.relative_residuals == rep_max.relative_residuals == hist[:k + 1]
+            assert p_rtol.tobytes() == p_max.tobytes()
+            # p holds all k steps: its true residual is the recursive one
+            true = np.linalg.norm(b - apply_a(p_max)) / np.linalg.norm(b)
+            assert true == pytest.approx(hist[k], rel=1e-3)
 
     def test_overwritten_b_holds_the_final_residual(self, dtype, boundary_z, monkeypatch):
         apply_a, apply_m, b = _fct_case(dtype, boundary_z)

@@ -16,6 +16,8 @@ from etchomo import (
     build_rhs,
     build_system,
     coefficient_stats,
+    fct_backward_batch,
+    fct_forward_batch,
     gen_random_balls,
     identity_apply,
     ones_reference,
@@ -344,12 +346,17 @@ def indexed_thomas(factors, rhs):
 
 
 class TestThomasBits:
+    # narrow planes scale the layers in one pass after the lower sweep, wide
+    # ones (a side above 64) inside it; kz_ref is no power of two, so the
+    # division by off rounds and its order shows in the bits
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("nz", [1, 2, 3, 7])
-    def test_equals_indexed_sweeps(self, nz, dtype):
+    @pytest.mark.parametrize("plane", [(4, 5), (3, 70)], ids=["narrow", "wide"])
+    def test_equals_indexed_sweeps(self, nz, dtype, plane):
         rng = np.random.default_rng(40 + nz)
-        fac = FctPreconditioner(GridSpec(5, 4, nz), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), dtype)
-        rhs = rng.standard_normal((nz, 4, 5)).astype(dtype)
+        ny, nx = plane
+        fac = FctPreconditioner(GridSpec(nx, ny, nz), ReferenceParams(1.3, 0.7, 1.7, 0.5, 0.9), dtype)
+        rhs = rng.standard_normal((nz,) + plane).astype(dtype)
         mine, theirs = rhs.copy(), rhs.copy()
         got = thomas_solve_batch(fac, mine)
         want = indexed_thomas(fac, theirs)
@@ -359,6 +366,20 @@ class TestThomasBits:
 
 
 class TestFctPreconditioner:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(5, 6, 7), (4, 3, 70)], ids=["products", "pocketfft"])
+    def test_apply_has_the_bits_of_the_normalized_pair(self, shape, dtype):
+        # the apply runs the transforms unscaled; the normalized public pair
+        # around the indexed-sweep Thomas is the reference
+        rng = np.random.default_rng(29)
+        nz, ny, nx = shape
+        apply_m = FctPreconditioner(GridSpec(nx, ny, nz), ReferenceParams(1.3, 0.7, 1.7, 0.5, 0.9), dtype)
+        r = rng.standard_normal(shape).astype(dtype)
+        want = fct_backward_batch(indexed_thomas(apply_m, fct_forward_batch(r)))
+        got = apply_m(r.ravel())
+        assert got.dtype == dtype
+        assert np.array_equal(got, want.ravel())
+
     def test_degenerate_single_column(self):
         refs = ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9)
         apply_m = FctPreconditioner(GridSpec(1, 1, 5), refs)

@@ -212,6 +212,20 @@ class TestBothBranches:
             assert np.array_equal(fct_backward_batch(v), back)
 
 
+    def test_unscaled_is_exactly_four_and_a_quarter_times_the_normalized(self, plane, dtype):
+        # the factors are powers of two, so only the exponent moves
+        rng = np.random.default_rng(sum(plane) + 4)
+        v = rng.standard_normal((3,) + plane).astype(dtype)
+        fwd = fct_forward_batch(v, unscaled=True)
+        back = fct_backward_batch(v, unscaled=True)
+        assert fwd.dtype == back.dtype == dtype
+        assert np.array_equal(fwd, fct_forward_batch(v) * dtype(4.0))
+        assert np.array_equal(back, fct_backward_batch(v) * dtype(0.25))
+        buf = v.copy()
+        assert fct_forward_batch(buf, out=buf, unscaled=True) is buf
+        assert np.array_equal(buf, fwd)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_products_run_in_chunks_of_layers(dtype, monkeypatch):
     # a slab of many chunks gives the bits of its layers transformed alone
