@@ -305,7 +305,20 @@ class SsorPreconditioner:
     upper triangle D/omega - U is the transpose of D/omega - L: only that lower
     triangle is built (in f64, from the diagonal and the bands) and
     LU-factorized once with natural ordering, and each apply is a solve, a
-    diagonal scaling and a transposed solve with the one factor."""
+    diagonal scaling and a transposed solve with the one factor.
+
+    The factorization takes diagonal pivots (`diag_pivot_thresh=0`). The
+    triangle's diagonal d/omega is positive, and each of its columns is
+    untouched by the columns before it, so SuperLU's default threshold
+    pivoting would swap rows only where d/omega < |t| for a band entry t
+    below the diagonal. Since d is at least every |t| of its row, that
+    happens only at omega > 1, and the swaps create fill. With diagonal
+    pivots the factor is plain substitution: no row swaps, no fill, and U is
+    the diagonal. At omega <= 1 the diagonal wins every threshold test
+    anyway, so the factor and every apply keep the default's bits. Panels
+    are one column wide (`panel_size=1`): the triangle has no fill to batch,
+    and wider panels only add dense n x panel work arrays to the set-up's
+    peak memory."""
 
     def __init__(self, sys: DiscreteSystem, omega: float = 1.0):
         import scipy.sparse as sp
@@ -321,7 +334,7 @@ class SsorPreconditioner:
         lower = sp.diags(bands, offsets, format="csc")
         del bands  # the CSC triangle holds copies; free these before splu
         self._diag = diag
-        self._lu = spla.splu(lower, permc_spec="NATURAL")
+        self._lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1)
         self._dtype = sys.dtype
 
     def __call__(self, r: np.ndarray) -> np.ndarray:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
 import tracemalloc
 import warnings
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
 
+import etchomo
 from etchomo import (
     CoefficientStats,
     ConfigError,
@@ -551,17 +556,26 @@ class TestSsorBits:
         lower = np.tril(dense, -1) + np.diag(d / omega)
         # the lower triangle is built and factored once, and only its factor is kept
         [(got, kwargs)] = seen
-        assert kwargs == {"permc_spec": "NATURAL"}
+        assert kwargs == {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "panel_size": 1}
         assert got.format == "csc" and got.dtype == np.float64
         assert got.nnz == np.count_nonzero(lower)
         assert np.array_equal(got.toarray(), lower)
-        ref_lu = splu(sp.csc_matrix(lower), permc_spec="NATURAL")
-        for mine, theirs in ((m._lu.L, ref_lu.L), (m._lu.U, ref_lu.U)):
-            mine, theirs = mine.tocsc(), theirs.tocsc()
-            for attr in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(mine, attr), getattr(theirs, attr))
-        assert np.array_equal(m._lu.perm_r, ref_lu.perm_r)
-        assert np.array_equal(m._lu.perm_c, ref_lu.perm_c)
+        ref_lu = splu(sp.csc_matrix(lower), **kwargs)
+        n = sys.grid.n_cells
+        # diagonal pivots: no row swaps and no fill, U is the diagonal
+        assert np.array_equal(m._lu.perm_r, np.arange(n))
+        assert m._lu.U.nnz == n
+        refs = [ref_lu]
+        if omega <= 1.0:
+            # the diagonal wins every default threshold test: same bits
+            refs.append(splu(sp.csc_matrix(lower), permc_spec="NATURAL"))
+        for ref in refs:
+            for mine, theirs in ((m._lu.L, ref.L), (m._lu.U, ref.U)):
+                mine, theirs = mine.tocsc(), theirs.tocsc()
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(mine, attr), getattr(theirs, attr))
+            assert np.array_equal(m._lu.perm_r, ref.perm_r)
+            assert np.array_equal(m._lu.perm_c, ref.perm_c)
         assert [k for k, v in vars(m).items() if isinstance(v, spla.SuperLU)] == ["_lu"]
         r = rng.standard_normal(sys.grid.n_cells).astype(dtype)
         scaled = ref_lu.solve(r.astype(np.float64))
@@ -577,3 +591,27 @@ class TestSsorBits:
         two = splu(sp.csc_matrix(upper), permc_spec="NATURAL").solve(scaled)
         two *= (2.0 - omega) / omega
         assert np.linalg.norm(y - two) <= 1e-13 * np.linalg.norm(two)
+
+    def test_setup_peak_memory(self):
+        # ru_maxrss is per process, so the set-up runs in a fresh one, after
+        # the pack's assembly and scipy's import have set their own peaks
+        code = """
+import resource
+import scipy.sparse.linalg
+from etchomo import Axis, BoundaryConfig, build_system
+from etchomo.pipeline import make_field
+from etchomo.preconditioner import SsorPreconditioner
+field = make_field("random-balls", {"preset": "a", "n": 48})
+system = build_system(field, BoundaryConfig(Axis.Z, 1.0, 0.0))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+SsorPreconditioner(system, 1.0)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024 / (8 * system.grid.n_cells))
+"""
+        src = str(Path(etchomo.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        # growth in f64 grid arrays: about 29, and 67 with SuperLU's default panels
+        assert float(out) <= 40
