@@ -143,9 +143,13 @@ def check_dense_solver(max_n: int, rng) -> tuple[bool, str]:
 
 
 def check_precond_exactness(max_n: int, rng) -> tuple[bool, str]:
+    """Apply-back residual of the FCT preconditioner on 8 random grids, then
+    on one grid for each nz in 1..2*max_n+1 (random nx and ny), so that the
+    cyclic reduction runs every odd/even remainder of its chain lengths."""
     worst = 0.0
-    for _ in range(8):
-        dims = rng.integers(1, 2 * max_n + 1, 3)
+    side = 2 * max_n + 1
+    for nz in [None] * 8 + list(range(1, side + 1)):
+        dims = rng.integers(1, side, 3) if nz is None else [*rng.integers(1, side, 2), nz]
         grid = GridSpec(*map(int, dims))
         stats = CoefficientStats(*np.sort(rng.uniform(0.1, 10.0, 10).reshape(5, 2), axis=1).ravel())
         refs = solve_reference_lp(stats)

@@ -4,10 +4,13 @@ The reference operator replaces the heterogeneous transmissibilities with
 five homogeneous constants (one per interior axis plus the two Dirichlet
 layers). Under the plane-wise cosine transform it block-diagonalizes into
 independent tridiagonal systems along z, one per transformed (x, y) mode.
-`FctPreconditioner` factors each block once, by non-pivoting symmetric
-elimination T = U^T D U (diagonal dominance makes that safe), and every
-apply reuses the factors: a unit-lower sweep, a pivot scaling (folded into
-the lower sweep on wide planes) and a unit-upper sweep.
+`FctPreconditioner` solves all of them at once by odd-even cyclic reduction
+(Hockney, J. ACM 12(1), 1965; Swarztrauber, SIAM Review 19(3), 1977): each
+level eliminates every other layer of the chain through strided layer views,
+so a solve takes O(log nz) vectorized steps instead of nz per-layer ones.
+With five constants every reduced chain keeps a first, an interior and a
+last diagonal, so the levels, built once, hold a few planes each and no
+factor array; diagonal dominance keeps every level's pivots positive.
 
 Reference constants come either from a closed-form solution of the
 log-domain min-max program over the coefficient statistics ("opt") or are
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ConfigError, GridSpec
+from .grid import _BLOCK_BYTES, ConfigError, GridSpec
 from .tpfa import DiscreteSystem, operator_diagonal
-from .transforms import _narrow, fct_backward_batch, fct_forward_batch
+from .transforms import fct_backward_batch, fct_forward_batch
 
 
 @dataclass(frozen=True)
@@ -148,11 +151,10 @@ class FctPreconditioner:
 
     Stores the plane shift kx_ref*wx[q_x] + ky_ref*wy[q_y] of every mode,
     with the eigen-weights w[q] = 2*(1-cos(q*pi/N)), the z-chain diagonal and
-    the off-diagonal, plus the elimination factors of every block, computed
-    on first use by `elimination`. With the factors it keeps a list of their
-    (ny, nx) plane views, one per layer, so the sweeps of
-    `thomas_solve_batch` index no array per layer. The views share the
-    factors' memory.
+    the off-diagonal. Every mode's chain has one first, one interior and one
+    last diagonal entry around a constant off-diagonal, so the odd-even
+    reduction of all chains at once, computed on first use by `reduction`,
+    is a few (ny, nx) planes per level: O(log nz) planes in all.
 
     Every apply runs in one grid array, `workspace`, allocated on first use
     and returned as the result; each apply overwrites it. The transforms run
@@ -162,8 +164,7 @@ class FctPreconditioner:
     planes.
     """
 
-    __slots__ = ("grid", "dtype", "plane_shift", "z_diag", "off", "_upper",
-                 "_last_pivot", "_upper_planes", "_work")
+    __slots__ = ("grid", "dtype", "plane_shift", "z_diag", "off", "_levels", "_work")
 
     def __init__(self, grid: GridSpec, refs: ReferenceParams, dtype=np.float64):
         self.grid = grid
@@ -183,9 +184,7 @@ class FctPreconditioner:
         zd[-1] += 2.0 * refs.kout_ref
         self.z_diag = zd.astype(self.dtype)
         self.off = self.dtype.type(-refs.kz_ref)
-        self._upper = None
-        self._last_pivot = None
-        self._upper_planes = None
+        self._levels = None
         self._work = None
 
     @property
@@ -197,43 +196,52 @@ class FctPreconditioner:
             self._work = np.empty(self.grid.shape, dtype=self.dtype)
         return self._work
 
-    def elimination(self) -> tuple[np.ndarray, np.ndarray]:
-        """The factors T = U^T D U of every block, computed once and cached.
+    def reduction(self) -> tuple[list, np.ndarray]:
+        """The odd-even cyclic reduction of every block, computed once and
+        cached: `(levels, final)`.
 
-        Returns `upper`, shape (nz-1, ny, nx), the superdiagonal of the unit
-        upper factor U (off / pivot of layers 0..nz-2), and the last pivot
-        plane, shape (ny, nx). The other pivots are off / upper. Raises
-        FloatingPointError if a pivot is not positive (NaN included) or a
-        multiplier is too small for the pivots to be recovered from it.
-        The plane views `list(upper)` are cached alongside.
+        Level l reduces the chain of layers 0, 2**l, 2*2**l, ... by
+        eliminating its odd members. A chain with first diagonal F, interior
+        diagonal D, last diagonal L and off-diagonal E keeps that form: with
+        g = E/D, the survivors get F - gE, D - 2gE and E' = -gE, and the last
+        one L - gE, or D - gE - (E/L)E if the eliminated layers include the
+        last. So `levels[l]` is a pair `(mid, end)`: mid = (g, 1/D) for the
+        interior odd layers, and end = (E/L, 1/L) for an eliminated last
+        layer, each None when the level has no such layer. `final` is 1/F
+        of the one layer left.
+
+        Raises FloatingPointError, naming the first level whose diagonal
+        planes hold a value that is not positive (NaN included).
         """
-        if self._upper is None:
-            shift, off = self.plane_shift, self.off
-            nz = self.grid.nz
-            # `upper` holds the pivots of layers 0..nz-2 until every pivot is
-            # checked, then the multipliers off / pivot. A bad pivot spoils
-            # only the layers after it, and the check names the first one.
-            upper = np.empty((nz - 1,) + shift.shape, dtype=self.dtype)
-            pivot = self.z_diag[0] + shift
-            scratch = np.empty_like(pivot)
+        if self._levels is None:
+            zd, shift, off = self.z_diag, self.plane_shift, self.off
+            n = self.grid.nz
+            first, inner, last = zd[0] + shift, zd[min(1, n - 1)] + shift, zd[-1] + shift
+            levels = []
             with np.errstate(all="ignore"):
-                for k in range(nz - 1):
-                    # pivot <- (z_diag[k+1] + shift) - off * (off / pivot)
-                    upper[k] = pivot
-                    np.divide(off, pivot, out=scratch)
-                    scratch *= off
-                    np.add(self.z_diag[k + 1], shift, out=pivot)
-                    pivot -= scratch
-            _check_pivots(upper, pivot)
-            np.divide(off, upper, out=upper)
-            # off < 0 < pivot, so every multiplier is negative
-            if upper.size and not upper.max() <= -np.finfo(self.dtype).tiny:
-                raise FloatingPointError(
-                    "tridiagonal multiplier underflows the working precision"
-                )
-            self._upper, self._last_pivot = upper, pivot
-            self._upper_planes = list(upper)
-        return self._upper, self._last_pivot
+                while True:
+                    diags = [first] + [inner] * (n >= 3) + [last] * (n >= 2)
+                    if not all(d.min() > 0 for d in diags):
+                        raise FloatingPointError(
+                            f"non-positive pivot in tridiagonal solve at level {len(levels)}"
+                        )
+                    if n == 1:
+                        break
+                    mid = (off / inner, 1 / inner) if n >= 3 else None
+                    end = (off / last, 1 / last) if n % 2 == 0 else None
+                    levels.append((mid, end))
+                    if mid is None:  # n == 2: only the first layer is left
+                        first = first - end[0] * off
+                    else:
+                        ge = mid[0] * off
+                        if end is None:
+                            last = last - ge
+                        else:  # the new last layer is an interior one
+                            last = (inner - ge) - end[0] * off
+                        first, inner, off = first - ge, inner - 2 * ge, -ge
+                    n -= n // 2
+            self._levels = levels, 1 / first
+        return self._levels
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """`r` is left untouched unless it is the workspace; the result is the
@@ -244,54 +252,64 @@ class FctPreconditioner:
         return fct_backward_batch(work, out=work, unscaled=True).reshape(-1)
 
 
-def _check_pivots(pivots: np.ndarray, last_pivot: np.ndarray) -> None:
-    """Raise on the first layer whose pivot plane holds a value that is not
-    positive (NaN included): one minimum per layer, over the (nz-1, ny, nx)
-    pivots and the last plane."""
-    lows = np.append(pivots.min(axis=(1, 2)), last_pivot.min())
-    bad = np.flatnonzero(~(lows > 0))
-    if bad.size:
-        raise FloatingPointError(f"non-positive pivot in tridiagonal solve at layer {bad[0]}")
-
-
 def thomas_solve_batch(pre: FctPreconditioner, rhs: np.ndarray) -> np.ndarray:
     """Solve every (i', j') z-column against its tridiagonal block, in place
     in `rhs` (a contiguous grid array); returns the solution in its shape.
 
-    Uses the cached factors T = U^T D U over the whole (ny, nx) plane at once:
-    a unit-lower sweep, a scaling by the inverse pivots and a unit-upper
-    sweep. The sweeps walk the factors' cached plane views alongside a list
-    of the right-hand side's layer views, with two ufunc calls into one
-    plane of scratch per layer. On planes that the transforms treat as wide
-    (see `transforms._narrow`), the lower sweep scales each layer right after
-    it has fed the next one, while the layer is still in cache; on narrow
-    planes, where two more calls per layer would cost more than they save,
-    one whole-array pass scales all layers after the sweep. Both forms run
-    the same operations in the same order. The first call on `pre` also
-    factors the blocks.
+    Runs odd-even cyclic reduction (Hockney 1965) with the cached levels of
+    `pre.reduction()`, over the whole (ny, nx) plane at once. Level l works
+    on the strided layer views x[::2**l]: the reduction takes g times each
+    odd layer off its two even neighbours, left neighbour first, and the
+    back-substitution sets each odd layer to x/D - g*(left + right) once its
+    neighbours are solved. Each level walks its odd layers in chunks of one
+    scratch buffer, of at most `_BLOCK_BYTES` and at most half the chain,
+    and the result has the bits of a single chunk. A solve makes a few ufunc
+    calls per level and chunk, not a few per layer. The first call on `pre`
+    also builds the levels.
     """
-    upper, last_pivot = pre.elimination()
-    planes, off = pre._upper_planes, pre.off
+    levels, final = pre.reduction()
     x = rhs.reshape(pre.grid.shape)
-    xs = list(x)
-    scratch = np.empty(x.shape[1:], dtype=x.dtype)
-    # 1/pivot_k = upper_k / off for every layer but the last
-    if _narrow(*x.shape[1:]):
-        for l, prev, xk in zip(planes, xs, xs[1:]):
-            np.multiply(l, prev, scratch)
-            np.subtract(xk, scratch, xk)
-        x[:-1] *= upper
-        x[:-1] /= off
-    else:
-        for l, prev, xk in zip(planes, xs, xs[1:]):
-            np.multiply(l, prev, scratch)
-            np.subtract(xk, scratch, xk)
-            prev *= l
-            prev /= off
-    x[-1] /= last_pivot
-    for l, nxt, xk in zip(reversed(planes), reversed(xs[1:]), reversed(xs[:-1])):
-        np.multiply(l, nxt, scratch)
-        np.subtract(xk, scratch, xk)
+    plane = x[0]
+    step = min(max(1, _BLOCK_BYTES // plane.nbytes), len(x) // 2)
+    scratch = np.empty((step,) + plane.shape, dtype=x.dtype)
+    # numpy copies the operands of a strided layer view through its ufunc
+    # buffers whenever a plane holds fewer entries than the buffer; with the
+    # buffer at most one plane (a multiple of 16, as numpy asks) the loops
+    # run on the views directly, at about half the cost
+    bufsize = np.setbufsize(max(16, min(np.getbufsize(), plane.size) // 16 * 16))
+    try:
+        halves = []
+        for l, (mid, end) in enumerate(levels):
+            even, odd = x[:: 2 << l], x[1 << l :: 2 << l]
+            halves.append((even, odd))
+            inner = len(odd) - (end is not None)
+            if mid is not None:
+                for a in range(0, inner, step):
+                    b = min(a + step, inner)
+                    t = np.multiply(mid[0], odd[a:b], out=scratch[: b - a])
+                    right, left = even[a + 1 : b + 1], even[a:b]
+                    np.subtract(right, t, out=right)
+                    np.subtract(left, t, out=left)
+            if end is not None:
+                t = np.multiply(end[0], odd[-1], out=scratch[0])
+                np.subtract(even[inner], t, out=even[inner])
+        plane *= final
+        for (mid, end), (even, odd) in zip(reversed(levels), reversed(halves)):
+            inner = len(odd) - (end is not None)
+            if end is not None:
+                tail = odd[-1]
+                tail *= end[1]
+                tail -= np.multiply(end[0], even[inner], out=scratch[0])
+            if mid is not None:
+                for a in range(0, inner, step):
+                    b = min(a + step, inner)
+                    o = odd[a:b]
+                    o *= mid[1]
+                    t = np.add(even[a:b], even[a + 1 : b + 1], out=scratch[: b - a])
+                    t *= mid[0]
+                    o -= t
+    finally:
+        np.setbufsize(bufsize)
     return x.reshape(rhs.shape)
 
 
@@ -305,7 +323,10 @@ class SsorPreconditioner:
     upper triangle D/omega - U is the transpose of D/omega - L: only that lower
     triangle is built (in f64, from the diagonal and the bands) and
     LU-factorized once with natural ordering, and each apply is a solve, a
-    diagonal scaling and a transposed solve with the one factor.
+    diagonal scaling and a transposed solve with the one factor. The scaling
+    carries the factor (2 - omega)/omega of the SSOR inverse, stored with
+    the diagonal, so no pass scales the result; at omega = 1 the stored
+    product is the diagonal itself.
 
     The factorization takes diagonal pivots (`diag_pivot_thresh=0`). The
     triangle's diagonal d/omega is positive, and each of its columns is
@@ -333,16 +354,15 @@ class SsorPreconditioner:
             bands.append(np.negative(t, dtype=np.float64))
         lower = sp.diags(bands, offsets, format="csc")
         del bands  # the CSC triangle holds copies; free these before splu
+        diag *= (2.0 - omega) / omega  # in place: no second diagonal at splu's peak
         self._diag = diag
         self._lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1)
         self._dtype = sys.dtype
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        w = self.omega
         y = self._lu.solve(np.asarray(r, dtype=np.float64))
         y *= self._diag
         y = self._lu.solve(y, trans="T")
-        y *= (2.0 - w) / w
         return y.astype(self._dtype, copy=False)
 
 

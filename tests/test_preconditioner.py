@@ -266,108 +266,144 @@ class TestTridiag:
                 want = np.linalg.solve(dense_block(fac, i, j), rhs[:, j, i])
                 assert np.allclose(got[:, j, i], want, rtol=1e-12, atol=1e-13)
 
-    def test_factors_once_and_reuses_them(self):
+    def test_levels_are_built_once_and_reused(self):
         rng = np.random.default_rng(26)
         fac = FctPreconditioner(GridSpec(4, 3, 6), ReferenceParams(0.3, 2.0, 1.5, 0.8, 1.1))
-        solves = []
-        for _ in range(2):
-            rhs = rng.standard_normal((6, 3, 4))
-            got = thomas_solve_batch(fac, rhs.copy())
-            for j in range(3):
-                for i in range(4):
-                    want = np.linalg.solve(dense_block(fac, i, j), rhs[:, j, i])
-                    assert np.allclose(got[:, j, i], want, rtol=1e-12, atol=1e-13)
-            solves.append(fac.elimination())
-        (upper_a, pivot_a), (upper_b, pivot_b) = solves
-        assert upper_a is upper_b and pivot_a is pivot_b
-        assert upper_a.shape == (5, 3, 4) and pivot_a.shape == (3, 4)
-
-    def test_f32_factors_stay_f32(self):
-        fac = FctPreconditioner(GridSpec(5, 4, 7), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), np.float32)
-        rhs = np.ones((7, 4, 5), dtype=np.float32)
-        assert thomas_solve_batch(fac, rhs).dtype == np.float32
-        upper, last_pivot = fac.elimination()
-        assert upper.dtype == last_pivot.dtype == np.float32
-
-    def test_nan_pivot_raises(self):
-        fac = FctPreconditioner(GridSpec(3, 2, 4), ReferenceParams(1, 1, 1, 1, 1))
-        fac.z_diag[2] = np.nan
-        with pytest.raises(FloatingPointError, match="layer 2"):
-            thomas_solve_batch(fac, np.ones((4, 2, 3)))
-
-    @pytest.mark.parametrize("layer, value", [(0, 0.0), (0, -1.0), (3, 0.0), (3, -2.0),
-                                              (5, 0.0), (5, np.nan)])
-    def test_first_bad_pivot_is_named_without_warnings(self, layer, value):
-        # the pivots are checked after the loop, so the layers past a bad one
-        # divide by zero or by NaN; that must stay silent and the message
-        # must name the first bad layer
-        fac = FctPreconditioner(GridSpec(3, 2, 6), ReferenceParams(1, 1, 1, 1, 1))
-        fac.z_diag[layer] = value
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(FloatingPointError, match=f"at layer {layer}$"):
-                fac.elimination()
+        rhs = rng.standard_normal((6, 3, 4))
+        got = thomas_solve_batch(fac, rhs.copy())
+        for j in range(3):
+            for i in range(4):
+                want = np.linalg.solve(dense_block(fac, i, j), rhs[:, j, i])
+                assert np.allclose(got[:, j, i], want, rtol=1e-12, atol=1e-13)
+        levels = fac.reduction()
+        fac.z_diag[:] = np.nan  # a second build would fail at level 0
+        assert np.array_equal(thomas_solve_batch(fac, rhs.copy()), got)
+        assert fac.reduction() is levels
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("nz", [1, 2, 7])
-    def test_factors_equal_the_layer_by_layer_elimination(self, dtype, nz):
+    @pytest.mark.parametrize("nz", [1, 2, 3, 6, 7, 8, 129, 1536])
+    def test_levels_are_a_few_planes_each(self, nz, dtype):
+        # no array with one plane per layer: each level keeps at most two
+        # (g, 1/D) pairs of planes, over ceil(log2(nz)) levels
         fac = FctPreconditioner(GridSpec(5, 4, nz), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), dtype)
-        shift, off, zd = fac.plane_shift, fac.off, fac.z_diag
-        want = np.empty((nz - 1,) + shift.shape, dtype=dtype)
-        pivot = zd[0] + shift
-        for k in range(nz - 1):
-            np.divide(off, pivot, out=want[k])
-            pivot = (zd[k + 1] + shift) - off * want[k]
-        upper, last_pivot = fac.elimination()
-        assert np.array_equal(upper, want) and np.array_equal(last_pivot, pivot)
-        assert upper.dtype == last_pivot.dtype == dtype
+        rhs = np.ones((nz, 4, 5), dtype=dtype)
+        assert thomas_solve_batch(fac, rhs).dtype == dtype
+        levels, final = fac.reduction()
+        assert len(levels) == math.ceil(math.log2(nz))
+        planes = [final] + [p for level in levels for pair in level if pair for p in pair]
+        assert len(planes) <= 4 * len(levels) + 1
+        for p in planes:
+            assert p.shape == (4, 5) and p.dtype == dtype
 
-    def test_underflowing_multiplier_raises(self):
-        # kz_ref / kx_ref = 1e-40: off / pivot is below the smallest normal
-        # float32, so the pivots could not be recovered from the multipliers
-        fac = FctPreconditioner(GridSpec(4, 4, 3), ReferenceParams(1e10, 1e10, 1e-30, 1, 1), np.float32)
-        with pytest.raises(FloatingPointError, match="underflow"):
-            thomas_solve_batch(fac, np.ones((3, 4, 4), dtype=np.float32))
+    @pytest.mark.parametrize("nz, block, rows", [
+        (1, None, 0), (5, None, 2), (129, None, 16), (129, 16000, 1), (129, 40000, 2),
+    ])
+    def test_scratch_is_one_chunk(self, nz, block, rows, monkeypatch):
+        # one buffer per solve, of at most _BLOCK_BYTES (by default 16 of
+        # these 16000-byte planes) and at most half the chain
+        if block is not None:
+            monkeypatch.setattr(etchomo.preconditioner, "_BLOCK_BYTES", block)
+        fac = FctPreconditioner(GridSpec(50, 40, nz), ReferenceParams(1.3, 0.7, 1.7, 0.5, 0.9))
+        rhs = np.ones((nz, 40, 50))
+        thomas_solve_batch(fac, rhs)  # builds the levels
+        empty, shapes = np.empty, []
 
+        def recording_empty(shape, *args, **kwargs):
+            shapes.append(shape)
+            return empty(shape, *args, **kwargs)
 
-def indexed_thomas(factors, rhs):
-    """Thomas sweeps indexing the factors and the right-hand side layer by
-    layer, in place: the reference for the plane-view sweeps of
-    thomas_solve_batch."""
-    upper, last_pivot = factors.elimination()
-    x = rhs.reshape(factors.grid.shape)
-    nz = x.shape[0]
-    scratch = np.empty(x.shape[1:], dtype=x.dtype)
-    for k in range(1, nz):
-        np.multiply(upper[k - 1], x[k - 1], out=scratch)
-        x[k] -= scratch
-    x[:-1] *= upper
-    x[:-1] /= factors.off
-    x[-1] /= last_pivot
-    for k in range(nz - 2, -1, -1):
-        np.multiply(upper[k], x[k + 1], out=scratch)
-        x[k] -= scratch
-    return x.reshape(rhs.shape)
+        monkeypatch.setattr(np, "empty", recording_empty)
+        thomas_solve_batch(fac, rhs)
+        assert shapes == [(rows, 40, 50)]
 
-
-class TestThomasBits:
-    # narrow planes scale the layers in one pass after the lower sweep, wide
-    # ones (a side above 64) inside it; kz_ref is no power of two, so the
-    # division by off rounds and its order shows in the bits
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("nz", [1, 2, 3, 7])
+    @pytest.mark.parametrize("nz", [*range(1, 41), 63, 64, 65, 127, 128, 129])
     @pytest.mark.parametrize("plane", [(4, 5), (3, 70)], ids=["narrow", "wide"])
-    def test_equals_indexed_sweeps(self, nz, dtype, plane):
-        rng = np.random.default_rng(40 + nz)
+    def test_every_mode_against_its_dense_block(self, plane, nz, dtype):
+        # every odd/even remainder of the chain length, on a plane of either
+        # transform branch; the reference is an f64 solve of the same rhs,
+        # and each mode's error is bounded by 4 eps times its condition
+        rng = np.random.default_rng(nz)
         ny, nx = plane
         fac = FctPreconditioner(GridSpec(nx, ny, nz), ReferenceParams(1.3, 0.7, 1.7, 0.5, 0.9), dtype)
         rhs = rng.standard_normal((nz,) + plane).astype(dtype)
-        mine, theirs = rhs.copy(), rhs.copy()
-        got = thomas_solve_batch(fac, mine)
-        want = indexed_thomas(fac, theirs)
-        assert got.dtype == want.dtype == dtype
+        got = thomas_solve_batch(fac, rhs.copy())
+        assert got.dtype == dtype
+        blocks = np.stack([dense_block(fac, i, j) for j in range(ny) for i in range(nx)])
+        want = np.linalg.solve(blocks, rhs.astype(np.float64).reshape(nz, -1).T[..., None])[..., 0].T
+        err = np.abs(got.reshape(nz, -1) - want).max(axis=0) / np.abs(want).max(axis=0)
+        eig = np.linalg.eigvalsh(blocks)
+        assert np.all(err <= 4 * np.finfo(dtype).eps * eig[:, -1] / eig[:, 0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("nz", [2, 5, 8, 37, 64, 129])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_chunks_keep_the_bits_of_one_chunk(self, rows, nz, dtype, monkeypatch):
+        # left neighbour first in every chunk, so the chunk edges do not
+        # show in the bits
+        rng = np.random.default_rng(40 + nz)
+        refs = ReferenceParams(1.3, 0.7, 1.7, 0.5, 0.9)
+        rhs = rng.standard_normal((nz, 4, 5)).astype(dtype)
+        whole = FctPreconditioner(GridSpec(5, 4, nz), refs, dtype)
+        want = thomas_solve_batch(whole, rhs.copy())  # one chunk per level
+        monkeypatch.setattr(etchomo.preconditioner, "_BLOCK_BYTES", rows * 4 * 5 * rhs.itemsize)
+        chunked = FctPreconditioner(GridSpec(5, 4, nz), refs, dtype)
+        mine = rhs.copy()
+        bufsize = np.getbufsize()
+        got = thomas_solve_batch(chunked, mine)
+        assert np.getbufsize() == bufsize  # numpy's ufunc buffer is restored
         assert np.array_equal(got, want)
-        assert np.shares_memory(got, mine) and np.array_equal(mine, got)
+        assert np.shares_memory(got, mine)
+
+    @pytest.mark.parametrize("nz, layer, value, level", [
+        (6, 0, 0.0, 0), (6, 0, -1.0, 0), (6, -1, np.nan, 0), (6, 1, 0.0, 0),
+        (6, 1, -2.0, 0), (8, 1, np.nan, 0), (1, 0, -1.0, 0),
+        # inner diagonal kept positive but too small: level 1's goes negative
+        (6, 1, 0.5, 1),
+        # an eliminated last layer with a small diagonal spoils level 1
+        (4, -1, 0.25, 1),
+        # mode (0, 0) of the all-ones chain: the first diagonal c only
+        # falls with each level, by 1/2, 3/4, 7/8 and so on
+        (9, 0, 0.6, 2), (8, 0, 0.8, 3), (9, 0, 0.8, 3),
+    ])
+    def test_first_bad_level_is_named_without_warnings(self, nz, layer, value, level):
+        # the reduction reads the first, an interior and the last diagonal
+        fac = FctPreconditioner(GridSpec(3, 2, nz), ReferenceParams(1, 1, 1, 1, 1))
+        fac.z_diag[layer] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=f"non-positive pivot .* at level {level}$"):
+                thomas_solve_batch(fac, np.ones((nz, 2, 3)))
+
+    @pytest.mark.parametrize("refs", [ReferenceParams(1.3, 0.7, 1.7, 0.5, 0.9),
+                                      ReferenceParams(1, 1, 1, 1, 1)], ids=["mixed", "ones"])
+    def test_long_f32_chain_of_the_zero_mode(self, refs):
+        # the 1536-layer chain of the column benchmark's mode (0, 0), the
+        # worst-conditioned one, in f32 against an f64 banded solve of the
+        # same rhs; a sequential Thomas sweep reads a few 1e-4 here
+        from scipy.linalg import solve_banded
+
+        nz = 1536
+        fac = FctPreconditioner(GridSpec(1, 1, nz), refs, np.float32)
+        b = np.random.default_rng(3).standard_normal(nz).astype(np.float32)
+        got = thomas_solve_batch(fac, b.reshape(nz, 1, 1).copy()).ravel()
+        bands = np.zeros((3, nz))
+        bands[0, 1:] = bands[2, :-1] = float(fac.off)
+        bands[1] = fac.z_diag
+        want = solve_banded((1, 1), bands, b.astype(np.float64))
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+    def test_tiny_kz_reference_in_f32(self):
+        # kz_ref / kx_ref = 1e-40: the couplings underflow in the high modes,
+        # where the solve is then the diagonal scaling it should be
+        fac = FctPreconditioner(GridSpec(4, 4, 3), ReferenceParams(1e10, 1e10, 1e-30, 1, 1), np.float32)
+        rhs = np.ones((3, 4, 4), dtype=np.float32)
+        got = thomas_solve_batch(fac, rhs.copy())
+        assert np.all(np.isfinite(got))
+        for j in range(4):
+            for i in range(4):
+                want = np.linalg.solve(dense_block(fac, i, j), np.ones(3))
+                assert np.allclose(got[:, j, i], want, rtol=1e-6)
 
 
 class TestFctPreconditioner:
@@ -375,12 +411,12 @@ class TestFctPreconditioner:
     @pytest.mark.parametrize("shape", [(5, 6, 7), (4, 3, 70)], ids=["products", "pocketfft"])
     def test_apply_has_the_bits_of_the_normalized_pair(self, shape, dtype):
         # the apply runs the transforms unscaled; the normalized public pair
-        # around the indexed-sweep Thomas is the reference
+        # around the tridiagonal stage is the reference
         rng = np.random.default_rng(29)
         nz, ny, nx = shape
         apply_m = FctPreconditioner(GridSpec(nx, ny, nz), ReferenceParams(1.3, 0.7, 1.7, 0.5, 0.9), dtype)
         r = rng.standard_normal(shape).astype(dtype)
-        want = fct_backward_batch(indexed_thomas(apply_m, fct_forward_batch(r)))
+        want = fct_backward_batch(thomas_solve_batch(apply_m, fct_forward_batch(r)))
         got = apply_m(r.ravel())
         assert got.dtype == dtype
         assert np.array_equal(got, want.ravel())
@@ -446,6 +482,20 @@ class TestFctPreconditioner:
         r = rng.standard_normal(grid.n_cells)
         back = apply_operator(ref_sys, apply_m(r))
         assert np.linalg.norm(back - r) <= 1e-11 * np.linalg.norm(r)
+
+    def test_oracle_runs_every_chain_length(self, monkeypatch):
+        # `etc oracle` adds one grid per nz in 1..2*max_n+1 to its 8 random ones
+        from etchomo import oracles
+
+        real, seen = oracles.FctPreconditioner, []
+
+        def recording(grid, refs):
+            seen.append(grid.nz)
+            return real(grid, refs)
+
+        monkeypatch.setattr(oracles, "FctPreconditioner", recording)
+        ok, _ = oracles.check_precond_exactness(3, np.random.default_rng(5))
+        assert ok and len(seen) == 15 and seen[8:] == list(range(1, 8))
 
     def test_matched_reference_is_exact_operator(self, boundary_z):
         sys = build_system(constant_field(5, 4, 3, kx=2.0, ky=0.5, kz=1.5), boundary_z)
@@ -516,6 +566,27 @@ class TestClassicalBaselines:
         assert rep.converged
         assert rep.relative_residuals[-1] <= 1e-8
 
+    def test_ssor_one_keeps_the_iterates_of_the_two_pass_form(self, boundary_z):
+        # at omega = 1 the stored diagonal times (2 - omega)/omega is the
+        # diagonal, so dropping the apply's final scaling pass keeps every bit
+        rng = np.random.default_rng(25)
+        sys = build_system(random_field(rng, 8, 8, 8, contrast=50.0), boundary_z)
+        m = SsorPreconditioner(sys, 1.0)
+        d = operator_diagonal(sys).astype(np.float64)
+
+        def two_pass(r):
+            y = m._lu.solve(np.asarray(r, dtype=np.float64))
+            y *= d
+            y = m._lu.solve(y, trans="T")
+            y *= (2.0 - 1.0) / 1.0
+            return y
+
+        runs = [pcg(lambda u: apply_operator(sys, u), apply_m, build_rhs(sys), 1e-10, max_iter=400)
+                for apply_m in (m, two_pass)]
+        (u_one, rep_one), (u_two, rep_two) = runs
+        assert rep_one.relative_residuals == rep_two.relative_residuals
+        assert np.array_equal(u_one, u_two)
+
     def test_ssor_setup_peak(self, boundary_z):
         # the seed-11 48^3 pack: one triangle is built from the bands
         # without a full matrix and factored once, so set-up stays below 24
@@ -578,17 +649,24 @@ class TestSsorBits:
             assert np.array_equal(m._lu.perm_c, ref.perm_c)
         assert [k for k, v in vars(m).items() if isinstance(v, spla.SuperLU)] == ["_lu"]
         r = rng.standard_normal(sys.grid.n_cells).astype(dtype)
-        scaled = ref_lu.solve(r.astype(np.float64))
-        scaled *= d
-        y = ref_lu.solve(scaled, trans="T")
-        y *= (2.0 - omega) / omega
+        forward = ref_lu.solve(r.astype(np.float64))
+        # the factor (2 - omega)/omega rides on the diagonal scaling
+        y = ref_lu.solve(forward * (d * ((2.0 - omega) / omega)), trans="T")
         got = m(r)
         assert got.dtype == dtype
         assert np.array_equal(got, y.astype(dtype))
+        # the two-pass form, which scales the result by (2 - omega)/omega
+        # after the transposed solve, has the same bits at omega = 1 (the
+        # stored product is the diagonal) and rounds once more elsewhere
+        two_pass = ref_lu.solve(forward * d, trans="T")
+        two_pass *= (2.0 - omega) / omega
+        if omega == 1.0:
+            assert np.array_equal(y, two_pass)
+        assert np.linalg.norm(y - two_pass) <= 1e-13 * np.linalg.norm(two_pass)
         # the two-factor form, whose backward sweep uses a factor of the upper
         # triangle D/omega - U, gives the same f64 apply to rounding
         upper = np.triu(dense, 1) + np.diag(d / omega)
-        two = splu(sp.csc_matrix(upper), permc_spec="NATURAL").solve(scaled)
+        two = splu(sp.csc_matrix(upper), permc_spec="NATURAL").solve(forward * d)
         two *= (2.0 - omega) / omega
         assert np.linalg.norm(y - two) <= 1e-13 * np.linalg.norm(two)
 
