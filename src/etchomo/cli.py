@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .grid import (
-    Axis,
     BoundaryConfig,
     ConfigError,
     VoxFormatError,
@@ -181,7 +180,7 @@ def cmd_solve(args) -> int:
     # a bad setting exits 2 before the input is read
     pipeline._check_settings(args.precision, args.ref, (args.rtol,), (precond,))
     field = read_vox(args.input)
-    boundary = BoundaryConfig(Axis(args.axis), args.p_in, args.p_out)
+    boundary = BoundaryConfig(args.axis, args.p_in, args.p_out)
     report = pipeline.homogenize(
         field, boundary, args.rtol, precond, args.ref, args.precision, args.max_iter
     )
@@ -204,7 +203,7 @@ def _plan(args, params: dict, **overrides) -> ExperimentPlan:
     fields = dict(
         generator=args.config,
         params=params,
-        boundary=BoundaryConfig(Axis(args.axis), args.p_in, args.p_out),
+        boundary=BoundaryConfig(args.axis, args.p_in, args.p_out),
         rtols=(args.rtol,),
         max_iter=args.max_iter,
         out_dir=Path(args.output),

@@ -185,6 +185,10 @@ class BoundaryConfig:
     p_out: float
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "axis", Axis(self.axis))
+        except ValueError:
+            raise ConfigError(f"axis must be one of x, y, z, got {self.axis!r}") from None
         if not (np.isfinite(self.p_in) and np.isfinite(self.p_out)):
             raise ConfigError("p_in and p_out must be finite")
         if self.p_in == self.p_out:

@@ -531,9 +531,8 @@ def bench(n: int, precision: str = "f64") -> dict:
     _check_settings(precision, "opt", (), ())
     sys, apply_m, stub = _prepare(gen_center_ball(n, 10.0), _Z_BOUNDARY, precision=precision)
     r = build_rhs(sys)
-    # untimed first calls: the first FCT apply builds the reduction levels of
-    # the tridiagonal blocks and imports scipy.fft, which no later apply pays
-    # again
+    # untimed first calls: the first FCT apply imports scipy.fft and
+    # allocates the workspace, which no later apply pays again
     apply_m(r)
     apply_operator(sys, r)
     t0 = time.perf_counter()

@@ -9,8 +9,9 @@ independent tridiagonal systems along z, one per transformed (x, y) mode.
 level eliminates every other layer of the chain through strided layer views,
 so a solve takes O(log nz) vectorized steps instead of nz per-layer ones.
 With five constants every reduced chain keeps a first, an interior and a
-last diagonal, so the levels, built once, hold a few planes each and no
-factor array; diagonal dominance keeps every level's pivots positive.
+last diagonal, so the levels, built at set-up from the five constants, hold
+a few planes each and no factor array; diagonal dominance keeps every
+level's pivots positive.
 
 Reference constants come either from a closed-form solution of the
 log-domain min-max program over the coefficient statistics ("opt") or are
@@ -77,8 +78,8 @@ class ReferenceParams:
 
     def __post_init__(self):
         for name in ("kx_ref", "ky_ref", "kz_ref", "kin_ref", "kout_ref"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if not (0.0 < self.lambda_lo <= self.lambda_hi):
             raise ConfigError("need 0 < lambda_lo <= lambda_hi")
 
@@ -149,12 +150,12 @@ class FctPreconditioner:
     k-slice, one tridiagonal solve per transformed column, and the backward
     transform.
 
-    Stores the plane shift kx_ref*wx[q_x] + ky_ref*wy[q_y] of every mode,
-    with the eigen-weights w[q] = 2*(1-cos(q*pi/N)), the z-chain diagonal and
-    the off-diagonal. Every mode's chain has one first, one interior and one
-    last diagonal entry around a constant off-diagonal, so the odd-even
-    reduction of all chains at once, computed on first use by `reduction`,
-    is a few (ny, nx) planes per level: O(log nz) planes in all.
+    Mode (q_x, q_y) has the z-chain of the five constants shifted by
+    kx_ref*wx[q_x] + ky_ref*wy[q_y], with the eigen-weights
+    w[q] = 2*(1-cos(q*pi/N)): one first, one interior and one last diagonal
+    around the off-diagonal -kz_ref. Set-up reduces all the chains at once
+    with `_reduce`, so it raises on a non-positive pivot before any apply,
+    and keeps only the `levels` and `final` planes: O(log nz) planes in all.
 
     Every apply runs in one grid array, `workspace`, allocated on first use
     and returned as the result; each apply overwrites it. The transforms run
@@ -164,7 +165,7 @@ class FctPreconditioner:
     planes.
     """
 
-    __slots__ = ("grid", "dtype", "plane_shift", "z_diag", "off", "_levels", "_work")
+    __slots__ = ("grid", "dtype", "levels", "final", "_work")
 
     def __init__(self, grid: GridSpec, refs: ReferenceParams, dtype=np.float64):
         self.grid = grid
@@ -173,18 +174,14 @@ class FctPreconditioner:
         weights_x = 2.0 * (1.0 - np.cos(np.arange(nx) * np.pi / nx))
         weights_y = 2.0 * (1.0 - np.cos(np.arange(ny) * np.pi / ny))
         shift = weights_x[None, :] * refs.kx_ref + weights_y[:, None] * refs.ky_ref
-        self.plane_shift = shift.astype(self.dtype)
-        zd = np.full(nz, 2.0 * refs.kz_ref)
+        shift = shift.astype(self.dtype)
+        kz = refs.kz_ref
         if nz == 1:
-            zd[0] = 0.0
+            diags = (2.0 * refs.kin_ref + 2.0 * refs.kout_ref,) * 3
         else:
-            zd[0] = refs.kz_ref
-            zd[-1] = refs.kz_ref
-        zd[0] += 2.0 * refs.kin_ref
-        zd[-1] += 2.0 * refs.kout_ref
-        self.z_diag = zd.astype(self.dtype)
-        self.off = self.dtype.type(-refs.kz_ref)
-        self._levels = None
+            diags = (kz + 2.0 * refs.kin_ref, 2.0 * kz, kz + 2.0 * refs.kout_ref)
+        first, inner, last = (self.dtype.type(d) + shift for d in diags)
+        self.levels, self.final = _reduce(first, inner, last, self.dtype.type(-kz), nz)
         self._work = None
 
     @property
@@ -196,53 +193,6 @@ class FctPreconditioner:
             self._work = np.empty(self.grid.shape, dtype=self.dtype)
         return self._work
 
-    def reduction(self) -> tuple[list, np.ndarray]:
-        """The odd-even cyclic reduction of every block, computed once and
-        cached: `(levels, final)`.
-
-        Level l reduces the chain of layers 0, 2**l, 2*2**l, ... by
-        eliminating its odd members. A chain with first diagonal F, interior
-        diagonal D, last diagonal L and off-diagonal E keeps that form: with
-        g = E/D, the survivors get F - gE, D - 2gE and E' = -gE, and the last
-        one L - gE, or D - gE - (E/L)E if the eliminated layers include the
-        last. So `levels[l]` is a pair `(mid, end)`: mid = (g, 1/D) for the
-        interior odd layers, and end = (E/L, 1/L) for an eliminated last
-        layer, each None when the level has no such layer. `final` is 1/F
-        of the one layer left.
-
-        Raises FloatingPointError, naming the first level whose diagonal
-        planes hold a value that is not positive (NaN included).
-        """
-        if self._levels is None:
-            zd, shift, off = self.z_diag, self.plane_shift, self.off
-            n = self.grid.nz
-            first, inner, last = zd[0] + shift, zd[min(1, n - 1)] + shift, zd[-1] + shift
-            levels = []
-            with np.errstate(all="ignore"):
-                while True:
-                    diags = [first] + [inner] * (n >= 3) + [last] * (n >= 2)
-                    if not all(d.min() > 0 for d in diags):
-                        raise FloatingPointError(
-                            f"non-positive pivot in tridiagonal solve at level {len(levels)}"
-                        )
-                    if n == 1:
-                        break
-                    mid = (off / inner, 1 / inner) if n >= 3 else None
-                    end = (off / last, 1 / last) if n % 2 == 0 else None
-                    levels.append((mid, end))
-                    if mid is None:  # n == 2: only the first layer is left
-                        first = first - end[0] * off
-                    else:
-                        ge = mid[0] * off
-                        if end is None:
-                            last = last - ge
-                        else:  # the new last layer is an interior one
-                            last = (inner - ge) - end[0] * off
-                        first, inner, off = first - ge, inner - 2 * ge, -ge
-                    n -= n // 2
-            self._levels = levels, 1 / first
-        return self._levels
-
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """`r` is left untouched unless it is the workspace; the result is the
         flat workspace, valid until the next apply."""
@@ -252,22 +202,66 @@ class FctPreconditioner:
         return fct_backward_batch(work, out=work, unscaled=True).reshape(-1)
 
 
+def _reduce(first, inner, last, off, nz: int) -> tuple[list, np.ndarray]:
+    """The odd-even cyclic reduction of the nz-long chains with first
+    diagonal `first`, interior diagonal `inner`, last diagonal `last` (one
+    plane each, over every mode) and constant off-diagonal `off`:
+    `(levels, final)`.
+
+    Level l reduces the chain of layers 0, 2**l, 2*2**l, ... by
+    eliminating its odd members. A chain with first diagonal F, interior
+    diagonal D, last diagonal L and off-diagonal E keeps that form: with
+    g = E/D, the survivors get F - gE, D - 2gE and E' = -gE, and the last
+    one L - gE, or D - gE - (E/L)E if the eliminated layers include the
+    last. So `levels[l]` is a pair `(mid, end)`: mid = (g, 1/D) for the
+    interior odd layers, and end = (E/L, 1/L) for an eliminated last
+    layer, each None when the level has no such layer. `final` is 1/F
+    of the one layer left.
+
+    Raises FloatingPointError, naming the first level whose diagonal
+    planes hold a value that is not positive (NaN included).
+    """
+    n, levels = nz, []
+    with np.errstate(all="ignore"):
+        while True:
+            diags = [first] + [inner] * (n >= 3) + [last] * (n >= 2)
+            if not all(d.min() > 0 for d in diags):
+                raise FloatingPointError(
+                    f"non-positive pivot in tridiagonal solve at level {len(levels)}"
+                )
+            if n == 1:
+                break
+            mid = (off / inner, 1 / inner) if n >= 3 else None
+            end = (off / last, 1 / last) if n % 2 == 0 else None
+            levels.append((mid, end))
+            if mid is None:  # n == 2: only the first layer is left
+                first = first - end[0] * off
+            else:
+                ge = mid[0] * off
+                if end is None:
+                    last = last - ge
+                else:  # the new last layer is an interior one
+                    last = (inner - ge) - end[0] * off
+                first, inner, off = first - ge, inner - 2 * ge, -ge
+            n -= n // 2
+    return levels, 1 / first
+
+
 def thomas_solve_batch(pre: FctPreconditioner, rhs: np.ndarray) -> np.ndarray:
     """Solve every (i', j') z-column against its tridiagonal block, in place
     in `rhs` (a contiguous grid array); returns the solution in its shape.
 
-    Runs odd-even cyclic reduction (Hockney 1965) with the cached levels of
-    `pre.reduction()`, over the whole (ny, nx) plane at once. Level l works
+    Runs odd-even cyclic reduction (Hockney 1965) with the levels that
+    `pre` built at set-up, over the whole (ny, nx) plane at once. Level l works
     on the strided layer views x[::2**l]: the reduction takes g times each
     odd layer off its two even neighbours, left neighbour first, and the
     back-substitution sets each odd layer to x/D - g*(left + right) once its
     neighbours are solved. Each level walks its odd layers in chunks of one
     scratch buffer, of at most `_BLOCK_BYTES` and at most half the chain,
     and the result has the bits of a single chunk. A solve makes a few ufunc
-    calls per level and chunk, not a few per layer. The first call on `pre`
-    also builds the levels.
+    calls per level and chunk, not a few per layer.
     """
-    levels, final = pre.reduction()
+    levels, final = pre.levels, pre.final
     x = rhs.reshape(pre.grid.shape)
     plane = x[0]
     step = min(max(1, _BLOCK_BYTES // plane.nbytes), len(x) // 2)
@@ -346,7 +340,6 @@ class SsorPreconditioner:
         import scipy.sparse.linalg as spla
 
         _check_omega(omega)
-        self.omega = float(omega)
         diag = operator_diagonal(sys).astype(np.float64)
         offsets, bands = [0], [diag / omega]
         for s, t in sys.bands():

@@ -68,14 +68,25 @@ def dct1d_ref_backward(uh: np.ndarray) -> np.ndarray:
     return (2.0 / n) * (table @ (weights * uh))
 
 
-def dense_block(factors, i: int, j: int) -> np.ndarray:
-    """Explicit (nz, nz) matrix of one transformed mode of an FctPreconditioner."""
-    nz = factors.grid.nz
-    t = np.diag(factors.z_diag.astype(np.float64).copy())
-    t += np.diag(np.full(nz - 1, float(factors.off)), 1)
-    t += np.diag(np.full(nz - 1, float(factors.off)), -1)
-    t += float(factors.plane_shift[j, i]) * np.eye(nz)
-    return t
+def dense_block(grid: GridSpec, refs, i: int, j: int, dtype=np.float64) -> np.ndarray:
+    """Explicit (nz, nz) matrix of transformed mode (i, j) of the reference
+    operator with constants `refs`, each entry rounded to `dtype` as
+    FctPreconditioner rounds it: the shift kx*wx[i] + ky*wy[j] and the
+    z-chain's diagonal apart, then their sum."""
+    nx, ny, nz = grid.nx, grid.ny, grid.nz
+    r = np.dtype(dtype).type
+    wx = 2.0 * (1.0 - np.cos(np.arange(nx) * np.pi / nx))
+    wy = 2.0 * (1.0 - np.cos(np.arange(ny) * np.pi / ny))
+    shift = r(wx[i] * refs.kx_ref + wy[j] * refs.ky_ref)
+    diag = np.full(nz, 2.0 * refs.kz_ref)
+    if nz == 1:
+        diag[0] = 2.0 * refs.kin_ref + 2.0 * refs.kout_ref
+    else:
+        diag[0] = refs.kz_ref + 2.0 * refs.kin_ref
+        diag[-1] = refs.kz_ref + 2.0 * refs.kout_ref
+    t = np.diag((diag.astype(dtype) + shift).astype(np.float64))
+    off = np.full(nz - 1, float(r(-refs.kz_ref)))
+    return t + np.diag(off, 1) + np.diag(off, -1)
 
 
 def condition_estimate(

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import etchomo.cli
-import etchomo.preconditioner
 from etchomo import (
     Axis,
     BoundaryConfig,
@@ -227,16 +226,12 @@ def test_nonconvergence_exit_1(tmp_path):
 
 
 def test_pivot_failure_exit_1(tmp_path, capsys, monkeypatch):
-    init = etchomo.preconditioner.FctPreconditioner.__init__
-
-    def nan_pivot_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self.z_diag[-1] = np.nan
-
-    monkeypatch.setattr(etchomo.preconditioner.FctPreconditioner, "__init__", nan_pivot_init)
+    # constants that underflow to 0 in f32: the FCT set-up meets a zero pivot
+    tiny = etchomo.ReferenceParams(*[1e-46] * 5)
+    monkeypatch.setattr(etchomo.pipeline, "solve_reference_lp", lambda stats: tiny)
     vox = tmp_path / "ball.vox"
     write_vox(gen_center_ball(6, 10.0), vox)
-    assert main(["solve", str(vox), "--rtol", "1e-6"]) == 1
+    assert main(["solve", str(vox), "--rtol", "1e-6", "--precision", "f32"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("etc: solver breakdown: non-positive pivot")
     assert len(err.splitlines()) == 1 and "Traceback" not in err

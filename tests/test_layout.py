@@ -80,3 +80,20 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     dead = sorted(f"{module}.{name}({arg})" for name, (module, params) in knobs.items()
                   for _, arg in params if arg not in passed[name])
     assert dead == []
+
+
+def test_perfbench_traces_module_level_functions():
+    """perfbench/worker.py traces its inner spans by (module, function) name;
+    each must be a module-level function of that etchomo module, or a rename
+    would silently drop the span from the traced runs."""
+    worker = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    targets = next(
+        ast.literal_eval(node.value) for node in worker.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "INNER_TARGETS" for t in node.targets)
+    )
+    trees = _trees()
+    assert targets
+    for _, module, name in targets:
+        assert name in {node.name for node in trees[module].body
+                        if isinstance(node, ast.FunctionDef)}, f"{module}.{name}"

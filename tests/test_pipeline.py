@@ -326,6 +326,22 @@ class TestPlanBoundary:
     """The plan's boundary is one BoundaryConfig: checked when the plan is
     built, and refused by a study that cannot honour it."""
 
+    @pytest.mark.parametrize("name", ["x", "z", "q"])
+    def test_axis_given_by_name(self, name):
+        # a known name becomes its Axis: the report writes its value and
+        # assembly's identity check on z passes; an unknown one is refused
+        if name == "q":
+            with pytest.raises(ConfigError, match="axis must be one of x, y, z, got 'q'"):
+                BoundaryConfig(name, 1.0, 0.0)
+            return
+        boundary = BoundaryConfig(name, 1.0, 0.0)
+        assert boundary.axis is Axis(name)
+        field = constant_field(3, 3, 3)
+        if name == "z":
+            build_system(field, boundary)
+        rep = homogenize(field, boundary, 1e-6)
+        assert report_to_dict(rep, {}, field.grid, boundary, 1e-6)["boundary"]["axis"] == name
+
     @pytest.mark.parametrize("boundary", [
         BoundaryConfig(Axis.X, 1.0, 0.0), BoundaryConfig(Axis.Z, 7.0, 0.0),
         BoundaryConfig(Axis.Z, 0.0, 1.0),

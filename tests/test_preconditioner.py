@@ -31,7 +31,7 @@ from etchomo import (
     thomas_solve_batch,
 )
 from etchomo.oracles import assemble_dense, reference_system
-from etchomo.preconditioner import JacobiPreconditioner, SsorPreconditioner
+from etchomo.preconditioner import JacobiPreconditioner, SsorPreconditioner, _reduce
 from etchomo.tpfa import operator_diagonal
 
 from conftest import (
@@ -199,6 +199,11 @@ class TestReferenceLp:
         assert (homo.kx_ref, homo.ky_ref, homo.kz_ref, homo.kin_ref, homo.kout_ref) == (1.0,) * 5
         assert homo.objective == 1.0
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_reference_constants_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="kx_ref must be positive and finite"):
+            ReferenceParams(value, 1, 1, 1, 1)
+
     def test_ones_reference_bounds_come_from_statistics(self):
         spread = ones_reference(CoefficientStats(0.5, 2.0, 1.0, 1.0, 1.0, 4.0, 1.0, 1.0, 1.0, 1.0))
         assert (spread.lambda_lo, spread.lambda_hi) == (0.5, 4.0)
@@ -208,41 +213,44 @@ class TestReferenceLp:
 
 class TestTridiag:
     def test_dense_block_ones(self):
-        fac = FctPreconditioner(GridSpec(4, 4, 3), ReferenceParams(1, 1, 1, 1, 1))
         want = np.array([[3.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 3.0]])
-        assert np.array_equal(dense_block(fac, 0, 0), want)
+        block = dense_block(GridSpec(4, 4, 3), ReferenceParams(1, 1, 1, 1, 1), 0, 0)
+        assert np.array_equal(block, want)
 
     def test_high_mode_shift_approaches_four(self):
         nx = 100
-        fac = FctPreconditioner(GridSpec(nx, 4, 2), ReferenceParams(2.0, 1, 1, 1, 1))
-        shift = dense_block(fac, nx - 1, 0)[0, 0] - dense_block(fac, 0, 0)[0, 0]
+        grid, refs = GridSpec(nx, 4, 2), ReferenceParams(2.0, 1, 1, 1, 1)
+        shift = dense_block(grid, refs, nx - 1, 0)[0, 0] - dense_block(grid, refs, 0, 0)[0, 0]
         assert shift == pytest.approx(4.0 * 2.0, rel=1e-3)
 
     def test_blocks_positive_definite(self):
-        fac = FctPreconditioner(GridSpec(3, 3, 4), ReferenceParams(1, 1, 1, 1, 1))
+        grid, refs = GridSpec(3, 3, 4), ReferenceParams(1, 1, 1, 1, 1)
         for iq in range(3):
             for jq in range(3):
-                vals = np.linalg.eigvalsh(dense_block(fac, iq, jq))
+                vals = np.linalg.eigvalsh(dense_block(grid, refs, iq, jq))
                 assert vals[0] > 0.0
 
     def test_thomas_single_layer(self):
-        fac = FctPreconditioner(GridSpec(2, 2, 1), ReferenceParams(1, 1, 1, 0.5, 0.25))
+        grid, refs = GridSpec(2, 2, 1), ReferenceParams(1, 1, 1, 0.5, 0.25)
+        fac = FctPreconditioner(grid, refs)
         rhs = np.arange(1.0, 5.0).reshape(1, 2, 2)
         got = thomas_solve_batch(fac, rhs.copy())
         for j in range(2):
             for i in range(2):
-                t = dense_block(fac, i, j)
+                t = dense_block(grid, refs, i, j)
                 assert got[0, j, i] == pytest.approx(rhs[0, j, i] / t[0, 0], rel=1e-14)
 
     def test_thomas_multiply_back(self):
-        fac = FctPreconditioner(GridSpec(1, 1, 3), ReferenceParams(1, 1, 1, 1, 1))
+        grid, refs = GridSpec(1, 1, 3), ReferenceParams(1, 1, 1, 1, 1)
+        fac = FctPreconditioner(grid, refs)
         rhs = np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1)
         got = thomas_solve_batch(fac, rhs.copy())
-        t = dense_block(fac, 0, 0)
+        t = dense_block(grid, refs, 0, 0)
         assert np.max(np.abs(t @ got.ravel() - rhs.ravel())) <= 1e-14
 
     def test_thomas_batch_determinism(self):
-        fac = FctPreconditioner(GridSpec(3, 3, 5), ReferenceParams(1, 1, 1, 1, 1))
+        grid, refs = GridSpec(3, 3, 5), ReferenceParams(1, 1, 1, 1, 1)
+        fac = FctPreconditioner(grid, refs)
         rng = np.random.default_rng(17)
         column = rng.standard_normal(5)
         rhs = np.broadcast_to(column[:, None, None], (5, 3, 3)).copy()
@@ -250,35 +258,21 @@ class TestTridiag:
         # plane shift differs per (i', j'), so compare each against its block
         for j in range(3):
             for i in range(3):
-                want = np.linalg.solve(dense_block(fac, i, j), column)
+                want = np.linalg.solve(dense_block(grid, refs, i, j), column)
                 assert np.allclose(got[:, j, i], want, rtol=1e-12)
         again = thomas_solve_batch(fac, np.broadcast_to(column[:, None, None], (5, 3, 3)).copy())
         assert np.array_equal(got, again)
 
     def test_thomas_random_batch_vs_dense(self):
         rng = np.random.default_rng(18)
-        refs = ReferenceParams(0.3, 2.0, 1.5, 0.8, 1.1)
-        fac = FctPreconditioner(GridSpec(4, 3, 6), refs)
+        grid, refs = GridSpec(4, 3, 6), ReferenceParams(0.3, 2.0, 1.5, 0.8, 1.1)
+        fac = FctPreconditioner(grid, refs)
         rhs = rng.standard_normal((6, 3, 4))
         got = thomas_solve_batch(fac, rhs.copy())
         for j in range(3):
             for i in range(4):
-                want = np.linalg.solve(dense_block(fac, i, j), rhs[:, j, i])
+                want = np.linalg.solve(dense_block(grid, refs, i, j), rhs[:, j, i])
                 assert np.allclose(got[:, j, i], want, rtol=1e-12, atol=1e-13)
-
-    def test_levels_are_built_once_and_reused(self):
-        rng = np.random.default_rng(26)
-        fac = FctPreconditioner(GridSpec(4, 3, 6), ReferenceParams(0.3, 2.0, 1.5, 0.8, 1.1))
-        rhs = rng.standard_normal((6, 3, 4))
-        got = thomas_solve_batch(fac, rhs.copy())
-        for j in range(3):
-            for i in range(4):
-                want = np.linalg.solve(dense_block(fac, i, j), rhs[:, j, i])
-                assert np.allclose(got[:, j, i], want, rtol=1e-12, atol=1e-13)
-        levels = fac.reduction()
-        fac.z_diag[:] = np.nan  # a second build would fail at level 0
-        assert np.array_equal(thomas_solve_batch(fac, rhs.copy()), got)
-        assert fac.reduction() is levels
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("nz", [1, 2, 3, 6, 7, 8, 129, 1536])
@@ -288,7 +282,7 @@ class TestTridiag:
         fac = FctPreconditioner(GridSpec(5, 4, nz), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9), dtype)
         rhs = np.ones((nz, 4, 5), dtype=dtype)
         assert thomas_solve_batch(fac, rhs).dtype == dtype
-        levels, final = fac.reduction()
+        levels, final = fac.levels, fac.final
         assert len(levels) == math.ceil(math.log2(nz))
         planes = [final] + [p for level in levels for pair in level if pair for p in pair]
         assert len(planes) <= 4 * len(levels) + 1
@@ -305,7 +299,6 @@ class TestTridiag:
             monkeypatch.setattr(etchomo.preconditioner, "_BLOCK_BYTES", block)
         fac = FctPreconditioner(GridSpec(50, 40, nz), ReferenceParams(1.3, 0.7, 1.7, 0.5, 0.9))
         rhs = np.ones((nz, 40, 50))
-        thomas_solve_batch(fac, rhs)  # builds the levels
         empty, shapes = np.empty, []
 
         def recording_empty(shape, *args, **kwargs):
@@ -325,11 +318,13 @@ class TestTridiag:
         # and each mode's error is bounded by 4 eps times its condition
         rng = np.random.default_rng(nz)
         ny, nx = plane
-        fac = FctPreconditioner(GridSpec(nx, ny, nz), ReferenceParams(1.3, 0.7, 1.7, 0.5, 0.9), dtype)
+        grid, refs = GridSpec(nx, ny, nz), ReferenceParams(1.3, 0.7, 1.7, 0.5, 0.9)
+        fac = FctPreconditioner(grid, refs, dtype)
         rhs = rng.standard_normal((nz,) + plane).astype(dtype)
         got = thomas_solve_batch(fac, rhs.copy())
         assert got.dtype == dtype
-        blocks = np.stack([dense_block(fac, i, j) for j in range(ny) for i in range(nx)])
+        blocks = np.stack([dense_block(grid, refs, i, j, dtype)
+                           for j in range(ny) for i in range(nx)])
         want = np.linalg.solve(blocks, rhs.astype(np.float64).reshape(nz, -1).T[..., None])[..., 0].T
         err = np.abs(got.reshape(nz, -1) - want).max(axis=0) / np.abs(want).max(axis=0)
         eig = np.linalg.eigvalsh(blocks)
@@ -367,13 +362,22 @@ class TestTridiag:
         (9, 0, 0.6, 2), (8, 0, 0.8, 3), (9, 0, 0.8, 3),
     ])
     def test_first_bad_level_is_named_without_warnings(self, nz, layer, value, level):
-        # the reduction reads the first, an interior and the last diagonal
-        fac = FctPreconditioner(GridSpec(3, 2, nz), ReferenceParams(1, 1, 1, 1, 1))
-        fac.z_diag[layer] = value
+        # the all-ones chain of a 3x2 plane with its first (layer 0),
+        # interior (1) or last (-1) diagonal set to `value` before the
+        # shift of each mode is added
+        shift = 2.0 * (1.0 - np.cos(np.arange(3) * np.pi / 3)) + 2.0 * (
+            1.0 - np.cos(np.arange(2) * np.pi / 2))[:, None]
+        diags = [3.0, 2.0, 3.0] if nz > 1 else [4.0] * 3
+        diags[layer] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match=f"non-positive pivot .* at level {level}$"):
-                thomas_solve_batch(fac, np.ones((nz, 2, 3)))
+                _reduce(*(d + shift for d in diags), np.float64(-1.0), nz)
+
+    def test_pivot_error_comes_at_set_up(self):
+        # 1e-46 underflows to 0 in f32, so every diagonal plane is 0
+        with pytest.raises(FloatingPointError, match="non-positive pivot .* at level 0$"):
+            FctPreconditioner(GridSpec(4, 3, 5), ReferenceParams(*[1e-46] * 5), np.float32)
 
     @pytest.mark.parametrize("refs", [ReferenceParams(1.3, 0.7, 1.7, 0.5, 0.9),
                                       ReferenceParams(1, 1, 1, 1, 1)], ids=["mixed", "ones"])
@@ -384,25 +388,28 @@ class TestTridiag:
         from scipy.linalg import solve_banded
 
         nz = 1536
-        fac = FctPreconditioner(GridSpec(1, 1, nz), refs, np.float32)
+        grid = GridSpec(1, 1, nz)
+        fac = FctPreconditioner(grid, refs, np.float32)
         b = np.random.default_rng(3).standard_normal(nz).astype(np.float32)
         got = thomas_solve_batch(fac, b.reshape(nz, 1, 1).copy()).ravel()
+        block = dense_block(grid, refs, 0, 0, np.float32)
         bands = np.zeros((3, nz))
-        bands[0, 1:] = bands[2, :-1] = float(fac.off)
-        bands[1] = fac.z_diag
+        bands[0, 1:] = bands[2, :-1] = block[0, 1]
+        bands[1] = np.diag(block)
         want = solve_banded((1, 1), bands, b.astype(np.float64))
         assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
     def test_tiny_kz_reference_in_f32(self):
         # kz_ref / kx_ref = 1e-40: the couplings underflow in the high modes,
         # where the solve is then the diagonal scaling it should be
-        fac = FctPreconditioner(GridSpec(4, 4, 3), ReferenceParams(1e10, 1e10, 1e-30, 1, 1), np.float32)
+        grid, refs = GridSpec(4, 4, 3), ReferenceParams(1e10, 1e10, 1e-30, 1, 1)
+        fac = FctPreconditioner(grid, refs, np.float32)
         rhs = np.ones((3, 4, 4), dtype=np.float32)
         got = thomas_solve_batch(fac, rhs.copy())
         assert np.all(np.isfinite(got))
         for j in range(4):
             for i in range(4):
-                want = np.linalg.solve(dense_block(fac, i, j), np.ones(3))
+                want = np.linalg.solve(dense_block(grid, refs, i, j, np.float32), np.ones(3))
                 assert np.allclose(got[:, j, i], want, rtol=1e-6)
 
 
@@ -422,12 +429,12 @@ class TestFctPreconditioner:
         assert np.array_equal(got, want.ravel())
 
     def test_degenerate_single_column(self):
-        refs = ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9)
-        apply_m = FctPreconditioner(GridSpec(1, 1, 5), refs)
+        grid, refs = GridSpec(1, 1, 5), ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9)
+        apply_m = FctPreconditioner(grid, refs)
         rng = np.random.default_rng(19)
         r = rng.standard_normal(5)
         got = apply_m(r)
-        want = np.linalg.solve(dense_block(apply_m, 0, 0), r)
+        want = np.linalg.solve(dense_block(grid, refs, 0, 0), r)
         assert np.allclose(got, want, rtol=1e-13)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -446,7 +453,7 @@ class TestFctPreconditioner:
         grid = GridSpec(32, 32, 32)
         apply_m = FctPreconditioner(grid, ReferenceParams(1.3, 0.7, 2.0, 0.5, 0.9))
         r = rng.standard_normal(grid.n_cells)
-        apply_m(r)  # the first apply factors the blocks
+        apply_m(r)  # the first apply allocates the workspace
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
