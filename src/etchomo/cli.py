@@ -1,7 +1,8 @@
 """Command-line surface: generators, solves, studies, benchmarks, oracles.
 
 Exit codes: 0 success, 1 solver non-convergence or breakdown, 2 usage or
-configuration error, 3 I/O or file-format error.
+configuration error, or a request too large for the machine's memory, 3 I/O
+or file-format error.
 """
 
 from __future__ import annotations
@@ -311,6 +312,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"etc: invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"etc: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -163,17 +163,6 @@ class OrthotropicField:
         arrays = map_shared(lambda a: a.astype(dtype), (self.kx, self.ky, self.kz))
         return OrthotropicField(self.grid, *arrays)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrthotropicField):
-            return NotImplemented
-        return (
-            self.grid == other.grid
-            and self.dtype == other.dtype
-            and np.array_equal(self.kx, other.kx)
-            and np.array_equal(self.ky, other.ky)
-            and np.array_equal(self.kz, other.kz)
-        )
-
 
 @dataclass(frozen=True)
 class BoundaryConfig:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import _BLOCK_BYTES
+from .grid import _BLOCK_BYTES, ConfigError
 from .preconditioner import ReferenceParams
 
 
@@ -19,6 +19,13 @@ class PcgBreakdownError(RuntimeError):
     def __init__(self, message: str, iteration: int):
         super().__init__(f"{message} at iteration {iteration}")
         self.iteration = iteration
+
+
+def _check_max_iter(max_iter) -> None:
+    """`max_iter` must be an integer >= 1: pcg stops on iteration ==
+    max_iter, so any other bound would never apply."""
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise ConfigError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
 @dataclass
@@ -81,8 +88,7 @@ def pcg(
     """
     if not rtol > 0.0:
         raise ValueError("rtol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _check_max_iter(max_iter)
     b = np.asarray(b)
     eps = float(np.finfo(b.dtype).eps)
     norm_b = float(np.linalg.norm(b))

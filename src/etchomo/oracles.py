@@ -27,6 +27,8 @@ from .tpfa import DiscreteSystem, _layout, _split, apply_operator, build_rhs
 from .transforms import _MATRIX_MAX_SIDE, fct_backward_batch, fct_forward_batch
 
 DENSE_GUARD = 4096
+# conductivity contrast of the dense-solver suite's random fields
+_CONTRAST = 100.0
 
 
 def dct1d_ref_forward(u: np.ndarray) -> np.ndarray:
@@ -93,10 +95,11 @@ def reference_system(grid: GridSpec, refs: ReferenceParams) -> DiscreteSystem:
     )
 
 
-def _random_field(rng, nx, ny, nz, contrast=100.0) -> OrthotropicField:
+def _random_field(rng, nx, ny, nz) -> OrthotropicField:
+    """Log-uniform conductivities in [1/_CONTRAST, _CONTRAST] per component."""
     grid = GridSpec(nx, ny, nz)
     shape = (3, grid.n_cells)
-    k = np.exp(rng.uniform(np.log(1.0 / contrast), np.log(contrast), shape))
+    k = np.exp(rng.uniform(np.log(1.0 / _CONTRAST), np.log(_CONTRAST), shape))
     return OrthotropicField(grid, k[0], k[1], k[2])
 
 
@@ -130,7 +133,7 @@ def check_dense_solver(max_n: int, rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(5):
         dims = rng.integers(2, max_n + 1, 3)
-        field = _random_field(rng, *map(int, dims), contrast=100.0)
+        field = _random_field(rng, *map(int, dims))
         sys, apply_m, stub = _prepare(field, _Z_BOUNDARY)
         b = build_rhs(sys)
         direct = dense_solve(assemble_dense(sys), b)

@@ -58,7 +58,7 @@ from .grid import (
     gen_smooth_problem,
     map_shared,
 )
-from .krylov import SolveReport, pcg
+from .krylov import SolveReport, _check_max_iter, pcg
 from .preconditioner import (
     FctPreconditioner,
     JacobiPreconditioner,
@@ -103,7 +103,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.rtols:
             raise ConfigError("plan needs at least one rtol")
-        _check_settings(self.precision, self.ref_mode, self.rtols, self.preconds)
+        _check_settings(self.precision, self.ref_mode, self.rtols, self.preconds,
+                        self.max_iter)
         # the studies key their runs by tag, so `ssor` and `ssor:1` would
         # collapse into one
         parsed = [_parse_precond(tag) for tag in self.preconds]
@@ -115,8 +116,10 @@ class ExperimentPlan:
             self.out_dir = Path(self.out_dir)
 
 
-def _check_settings(precision: str, ref_mode: str, rtols, preconds) -> None:
-    """The one check of precision, reference mode, rtols and precond tags."""
+def _check_settings(precision: str, ref_mode: str, rtols, preconds, max_iter=1) -> None:
+    """The one check of precision, reference mode, rtols, precond tags and
+    max_iter (left at 1 by `bench`, which runs no solve)."""
+    _check_max_iter(max_iter)
     for rt in rtols:
         if not 0.0 < rt < 1.0:
             raise ConfigError(f"rtol must lie in (0, 1), got {rt}")
@@ -241,7 +244,7 @@ def homogenize(
 ) -> SolveReport:
     """Full effective-conductivity run: permute, assemble, pick reference
     constants, solve, reconstruct the outflow flux, average."""
-    _check_settings(precision, ref_mode, (rtol,), (precond,))
+    _check_settings(precision, ref_mode, (rtol,), (precond,), max_iter)
     sys, apply_m, stub = _prepare(field, boundary, precond, ref_mode, precision)
     return _solve(sys, apply_m, stub, build_rhs(sys), rtol, max_iter)[1]
 
@@ -256,7 +259,7 @@ def solve_smooth(
     """Manufactured-solution run: Dirichlet data sampled from the closed-form
     solution on the z faces, volumetric source added, error measured against
     the exact samples."""
-    _check_settings(precision, ref_mode, (rtol,), ())
+    _check_settings(precision, ref_mode, (rtol,), (), max_iter)
     field, exact, source = gen_smooth_problem(n)
     # boundary constants are placeholders; the actual data is sampled below
     sys, apply_m, stub = _prepare(field, _Z_BOUNDARY, "fct", ref_mode, precision)

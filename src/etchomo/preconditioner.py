@@ -161,8 +161,7 @@ class FctPreconditioner:
     and returned as the result; each apply overwrites it. The transforms run
     unscaled: the forward leaves 4x the normalized coefficients, the solve is
     linear, and the backward takes the 4 back out, so the result has the
-    bits of the normalized pair without its two scaling passes on wide
-    planes.
+    bits of the normalized pair without its two scaling passes.
     """
 
     __slots__ = ("grid", "dtype", "levels", "final", "_work")
@@ -272,10 +271,8 @@ def thomas_solve_batch(pre: FctPreconditioner, rhs: np.ndarray) -> np.ndarray:
     # run on the views directly, at about half the cost
     bufsize = np.setbufsize(max(16, min(np.getbufsize(), plane.size) // 16 * 16))
     try:
-        halves = []
         for l, (mid, end) in enumerate(levels):
             even, odd = x[:: 2 << l], x[1 << l :: 2 << l]
-            halves.append((even, odd))
             inner = len(odd) - (end is not None)
             if mid is not None:
                 for a in range(0, inner, step):
@@ -288,7 +285,8 @@ def thomas_solve_batch(pre: FctPreconditioner, rhs: np.ndarray) -> np.ndarray:
                 t = np.multiply(end[0], odd[-1], out=scratch[0])
                 np.subtract(even[inner], t, out=even[inner])
         plane *= final
-        for (mid, end), (even, odd) in zip(reversed(levels), reversed(halves)):
+        for l, (mid, end) in reversed(list(enumerate(levels))):
+            even, odd = x[:: 2 << l], x[1 << l :: 2 << l]
             inner = len(odd) - (end is not None)
             if end is not None:
                 tail = odd[-1]

@@ -27,19 +27,25 @@ Conventions, fixed once for every consumer in the package:
     backward:  u[i] = (2/N) * sum_q u_hat[q] * a[q] * cos(pi*(2i+1)*q / (2N))
 
 with a[0] = 1/2 and a[q] = 1 otherwise, so backward(forward(u)) == u.
-scipy's unnormalized DCT-II carries a factor 2 per axis, hence a 1/4 pass
-after pocketfft's forward and a 4 pass after its backward (1/2 and 2 per axis
-in the matrices). Both are powers of two and cost no rounding, away from
-subnormals and overflow. The matrices are scipy's own transforms of the
-identity, so both branches share one definition of the convention.
-`oracles.dct1d_ref_forward` is the O(N^2) direct-summation check of it.
+Both branches compute scipy's unnormalized DCT-II (or its inverse), which
+carries a factor 2 per axis: the matrices are scipy's own transforms of the
+identity, so both branches share one definition of the convention. One rule
+then normalizes either result: a 1/4 pass after the forward and a 4 pass
+after the backward. Both are powers of two and cost no rounding, away from
+subnormals and overflow. `oracles.dct1d_ref_forward` is the O(N^2)
+direct-summation check of the convention.
 
-`unscaled=True` gives scipy's own scale instead: the forward result is 4x,
-the backward result 1/4x the normalized one, bit for bit, and the pair still
-inverts. A caller that runs the pair around a linear solve, as the FCT
-preconditioner does, gets the bits of the normalized pair with two fewer
-full-grid passes on the pocketfft branch; the product branch uses matrices
-without the per-axis factor and costs the same either way.
+`unscaled=True` skips that pass: the forward result is 4x, the backward
+result 1/4x the normalized one, bit for bit, and the pair still inverts. A
+caller that runs the pair around a linear solve, as the FCT preconditioner
+does, gets the bits of the normalized pair with two fewer full-grid passes.
+
+An `out` must have the dtype of the (float-promoted) data, and its memory
+bounds must not overlap the data's unless it is the same memory: the same
+start, shape and strides, which transforms in place. The product branch
+writes each chunk of `out` before it reads the input of the next, so any
+other overlap would corrupt its result; both branches refuse it, at O(1)
+cost per call.
 
 `scipy.fft` is imported on first use: it also loads `scipy.special`, which
 costs every `import etchomo` about 27 MB of RSS and a quarter of a second.
@@ -67,12 +73,12 @@ def _narrow(ny: int, nx: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _axis_matrix(n: int, dtype: np.dtype, forward: bool, unscaled: bool) -> np.ndarray:
+def _axis_matrix(n: int, dtype: np.dtype, forward: bool) -> np.ndarray:
     """The (n, n) matrix of the transform along one axis in `dtype`: scipy's
-    DCT-II (forward) or its inverse (backward) applied to the identity, with
-    the per-axis factor 1/2 or 2 unless `unscaled`. Built in f64 and rounded
-    once; read-only, since the cache hands the same array to every caller.
-    Only sides up to `_MATRIX_MAX_SIDE` are built, so the cache stays small."""
+    unnormalized DCT-II (forward) or its inverse (backward) applied to the
+    identity. Built in f64 and rounded once; read-only, since the cache hands
+    the same array to every caller. Only sides up to `_MATRIX_MAX_SIDE` are
+    built, so the cache stays small."""
     import scipy.fft
 
     eye = np.eye(n)
@@ -80,11 +86,15 @@ def _axis_matrix(n: int, dtype: np.dtype, forward: bool, unscaled: bool) -> np.n
         mat = scipy.fft.dct(eye, type=2, axis=0)
     else:
         mat = scipy.fft.idct(eye, type=2, axis=0)
-    if not unscaled:
-        mat *= 0.5 if forward else 2.0
     mat = mat.astype(dtype)
     mat.setflags(write=False)
     return mat
+
+
+def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays are views of the same elements in the same order."""
+    return (a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+            and a.shape == b.shape and a.strides == b.strides)
 
 
 def _transform(data: np.ndarray, out, forward: bool, unscaled: bool) -> np.ndarray:
@@ -93,10 +103,14 @@ def _transform(data: np.ndarray, out, forward: bool, unscaled: bool) -> np.ndarr
         data = data.astype(np.float64)
     if out is None:
         out = np.empty(data.shape, dtype=data.dtype)
+    elif out.dtype != data.dtype:
+        raise ValueError(f"out has dtype {out.dtype}, expected {data.dtype}")
+    elif np.may_share_memory(out, data) and not _same_memory(out, data):
+        raise ValueError("out overlaps the data without being the same memory")
     nz, ny, nx = data.shape
     if _narrow(ny, nx):
-        my = _axis_matrix(ny, data.dtype, forward, unscaled)
-        mx_t = _axis_matrix(nx, data.dtype, forward, unscaled).T
+        my = _axis_matrix(ny, data.dtype, forward)
+        mx_t = _axis_matrix(nx, data.dtype, forward).T
         # the half-transformed layers of one chunk, at least one layer, in scratch
         layers = max(1, _BLOCK_BYTES // (ny * nx * data.itemsize))
         scratch = np.empty((min(layers, nz) * ny, nx), dtype=data.dtype)
@@ -105,20 +119,19 @@ def _transform(data: np.ndarray, out, forward: bool, unscaled: bool) -> np.ndarr
             half = scratch[: (b - a) * ny]
             np.matmul(data[a:b].reshape(-1, nx), mx_t, out=half)
             np.matmul(my, half.reshape(b - a, ny, nx), out=out[a:b])
-        return out
-
-    import scipy.fft
-
-    if out is not data:
-        np.copyto(out, data)
-    if forward:
-        got = scipy.fft.dctn(out, type=2, axes=_PLANE, overwrite_x=True)
     else:
-        got = scipy.fft.idctn(out, type=2, axes=_PLANE, overwrite_x=True)
-    # overwrite_x permits, but does not promise, a result in out's memory;
-    # pocketfft hands that memory back as a new array object
-    if not np.may_share_memory(got, out):
-        np.copyto(out, got)
+        import scipy.fft
+
+        if out is not data:
+            np.copyto(out, data)
+        if forward:
+            got = scipy.fft.dctn(out, type=2, axes=_PLANE, overwrite_x=True)
+        else:
+            got = scipy.fft.idctn(out, type=2, axes=_PLANE, overwrite_x=True)
+        # overwrite_x permits, but does not promise, a result in out's memory;
+        # pocketfft hands that memory back as a new array object
+        if not np.may_share_memory(got, out):
+            np.copyto(out, got)
     if not unscaled:
         out *= 0.25 if forward else 4.0
     return out
@@ -131,8 +144,10 @@ def fct_forward_batch(
 
     Returns the cosine coefficients [k, q_y, q_x] in `out`, a contiguous
     array of the slab's shape and float dtype, or in a new one when `out` is
-    None. `data` is left untouched unless it is `out`. `unscaled=True`
-    returns exactly 4x the coefficients, for use with the unscaled backward.
+    None. `out` must have that dtype and may be `data`'s own memory, which
+    transforms in place, but must not overlap it otherwise; `data` is left
+    untouched unless it is `out`. `unscaled=True` returns exactly 4x the
+    coefficients, for use with the unscaled backward.
     """
     return _transform(data, out, True, unscaled)
 
@@ -142,9 +157,9 @@ def fct_backward_batch(
 ) -> np.ndarray:
     """Backward-transform every k-slice of a (nz, ny, nx) coefficient slab.
 
-    Inverse of fct_forward_batch including all normalization weights. Writes
-    into `out` as fct_forward_batch does; `out` may be `coeff` itself, which
-    transforms it in place. `unscaled=True` returns exactly 1/4x the result,
-    the inverse of the unscaled forward.
+    Inverse of fct_forward_batch including all normalization weights. Takes
+    and fills `out` as fct_forward_batch does; `out` may be `coeff` itself,
+    which transforms it in place. `unscaled=True` returns exactly 1/4x the
+    result, the inverse of the unscaled forward.
     """
     return _transform(coeff, out, False, unscaled)

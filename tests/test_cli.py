@@ -515,3 +515,57 @@ def test_oracle_max_n_outside_dense_range_exit_2(capsys, max_n):
     captured = capsys.readouterr()
     assert "max-n" in captured.err and captured.err.count("\n") == 1
     assert "PASS" not in captured.out
+
+
+def _one_line_error(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err, err
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--config", "center-ball", "--n", "8", "-o", "x.vox"],
+    ["bench", "--n", "8"],
+])
+def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # raised, not provoked: with memory overcommit a real huge request may be
+    # granted and the process killed later
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(etchomo.pipeline, "make_field", too_big)
+    monkeypatch.setattr(etchomo.pipeline, "gen_center_ball", too_big)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line_error(captured.err) == (
+        "etc: out of memory: Unable to allocate 74.5 GiB for an array")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--config", "center-ball", "--n", "0", "-o", "x.vox"],
+    ["bench", "--n", "0"],
+])
+def test_zero_n_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    # argparse prints its usage block, then the one error line
+    *usage, last = err.splitlines()
+    assert usage[0].startswith(f"usage: etc {argv[0]}") and "Traceback" not in err
+    assert last == f"etc {argv[0]}: error: argument --n: expected a positive integer, got 0"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_threads_out_of_range_exit_2(tmp_path, capsys):
+    # scipy refuses the worker count before any thread starts
+    vox = tmp_path / "ball.vox"
+    write_vox(gen_center_ball(4, 10.0), vox)
+    threads = -(os.cpu_count() + 1)
+    assert main(["solve", str(vox), "--threads", str(threads)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = _one_line_error(captured.err)
+    assert line.startswith("etc: invalid configuration: workers value out of range")

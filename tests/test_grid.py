@@ -1,3 +1,5 @@
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -69,6 +71,15 @@ class TestField:
         bad[3] = 0.0
         with pytest.raises(ConfigError):
             OrthotropicField(g, bad, k, k)
+
+    @pytest.mark.parametrize("kx, ky, want", [
+        (np.ones(7), np.ones(8), "kx has 7 entries, expected 8"),
+        (np.ones(8), np.ones(9), "ky has 9 entries, expected 8"),
+        (np.ones(8), np.ones(8, dtype=np.float32), "kx, ky, kz must share one scalar dtype"),
+    ])
+    def test_rejects_bad_components(self, kx, ky, want):
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            OrthotropicField(GridSpec(2, 2, 2), kx, ky, np.ones(8))
 
     def test_arrays_frozen(self):
         g = GridSpec(2, 2, 2)
@@ -152,6 +163,18 @@ class TestRandomBalls:
         with pytest.raises(ConfigError):
             gen_random_balls(6, 4, 0.1, 0.3, 7.5, seed=-1)
 
+    @pytest.mark.parametrize("n, r_min, r_max, kappa_inc, want", [
+        (1, 0.1, 0.2, 10.0, "random-balls needs n >= 2"),
+        (8, 0.0, 0.2, 10.0, "radii must satisfy 0 < r_min <= r_max < 1/2"),
+        (8, 0.3, 0.2, 10.0, "radii must satisfy 0 < r_min <= r_max < 1/2"),
+        (8, 0.1, 0.5, 10.0, "radii must satisfy 0 < r_min <= r_max < 1/2"),
+        (8, 0.1, 0.2, 0.0, "kappa_inc must be positive"),
+        (8, 0.1, 0.2, -1.0, "kappa_inc must be positive"),
+    ])
+    def test_rejects_bad_arguments(self, n, r_min, r_max, kappa_inc, want):
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            gen_random_balls(n, 4, r_min, r_max, kappa_inc, seed=1)
+
     def test_count_zero_rejected(self):
         with pytest.raises(ConfigError):
             gen_random_balls(8, 0, 0.1, 0.2, 10.0, seed=1)
@@ -204,6 +227,10 @@ class TestChannels:
         with pytest.raises(ConfigError):
             gen_channels(12, 2, 1.0)
 
+    def test_zero_periods_rejected(self):
+        with pytest.raises(ConfigError, match="^periods must be >= 1$"):
+            gen_channels(8, 0, 1.0)
+
 
 class TestVoxFormat:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -250,6 +277,21 @@ class TestVoxFormat:
         with pytest.raises(VoxFormatError) as err:
             read_vox(path)
         assert err.value.offset == 44
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_zero_cell_count(self, tmp_path, axis):
+        # the three cell counts follow the 8-byte magic; the defect is the
+        # header's dimensions, at their first byte
+        path = tmp_path / "bad.vox"
+        write_vox(gen_center_ball(4, 2.0), path)
+        raw = bytearray(path.read_bytes())
+        raw[8 + 4 * axis:12 + 4 * axis] = struct.pack("<I", 0)
+        path.write_bytes(bytes(raw))
+        name = "nx ny nz".split()[axis]
+        with pytest.raises(VoxFormatError, match=re.escape(
+                f"bad dimensions: {name} must be a positive integer, got 0 (byte offset 8)")) as err:
+            read_vox(path)
+        assert err.value.offset == 8
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "bad.vox"

@@ -189,8 +189,13 @@ class TestPcg:
         for rtol in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="rtol must be positive"):
                 pcg(lambda u: u, identity_apply, np.ones(2), rtol)
-        with pytest.raises(ValueError):
-            pcg(lambda u: u, identity_apply, np.ones(2), 1e-9, max_iter=0)
+        for max_iter in (0, 3.5):
+            with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+                pcg(lambda u: u, identity_apply, np.ones(2), 1e-9, max_iter=max_iter)
+
+    def test_takes_a_numpy_integer_max_iter(self):
+        _, rep = pcg(lambda u: u, identity_apply, np.ones(2), 1e-30, max_iter=np.int64(1))
+        assert rep.iterations == 1
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

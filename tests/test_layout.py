@@ -34,6 +34,41 @@ def test_solve_modules_hold_no_oracle_or_test_only_code(module):
     assert unused == []
 
 
+def _methods(tree: ast.Module) -> list:
+    """(class name, def) of each method and property of the classes of a
+    module, dunder methods aside."""
+    return [(cls.name, d) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for d in cls.body if isinstance(d, ast.FunctionDef)
+            and not (d.name.startswith("__") and d.name.endswith("__"))]
+
+
+def _all_trees() -> dict:
+    return {p: ast.parse(p.read_text()) for d in ("src", "perfbench", "tests")
+            for p in sorted((ROOT / d).rglob("*.py"))}
+
+
+def test_methods_are_collected_with_properties():
+    found = {f"{cls}.{d.name}" for m in SOLVE_MODULES for cls, d in _methods(_trees()[m])}
+    assert {"GridSpec.shape", "OrthotropicField.astype", "DiscreteSystem.bands",
+            "FctPreconditioner.workspace"} <= found
+
+
+@pytest.mark.parametrize("module", SOLVE_MODULES)
+def test_every_method_of_a_solve_module_is_used(module):
+    """Every method and property of a solve-module class is referenced as
+    `.name` in src/, perfbench/ or tests/ outside its own body; a method that
+    nothing calls is code that nothing runs."""
+    trees = _all_trees()
+    unused = []
+    for cls, d in _methods(trees[SRC / f"{module}.py"]):
+        own = set(map(id, ast.walk(d)))
+        if not any(isinstance(node, ast.Attribute) and node.attr == d.name
+                   and id(node) not in own
+                   for tree in trees.values() for node in ast.walk(tree)):
+            unused.append(f"{cls}.{d.name}")
+    assert unused == []
+
+
 def _defaulted(fn: ast.FunctionDef, skip: int) -> list:
     """(position, name) of each parameter of `fn` that has a default; the
     position is None for keyword-only ones, and the first `skip` positional

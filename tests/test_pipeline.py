@@ -167,6 +167,29 @@ class TestHomogenize:
         with pytest.raises(ConfigError, match="rtol must lie in"):
             homogenize(constant_field(2, 2, 2), boundary_z, rtol)
 
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, float("inf")])
+    def test_rejects_max_iter_before_any_setup(self, boundary_z, monkeypatch, max_iter):
+        # pcg stops on iteration == max_iter: any bound but an integer >= 1
+        # would never apply, or would fail only after the whole set-up
+        def unreachable(*args, **kwargs):
+            raise AssertionError("set-up ran before max_iter was checked")
+
+        monkeypatch.setattr(pipeline, "_prepare", unreachable)
+        match = f"^max_iter must be an integer >= 1, got {max_iter!r}$"
+        with pytest.raises(ConfigError, match=match):
+            ExperimentPlan("center-ball", {"n": 8}, max_iter=max_iter)
+        with pytest.raises(ConfigError, match=match):
+            homogenize(gen_center_ball(8, 10.0), boundary_z, 1e-30, max_iter=max_iter)
+        with pytest.raises(ConfigError, match=match):
+            solve_smooth(8, max_iter=max_iter)
+
+    def test_takes_a_numpy_integer_max_iter(self, boundary_z):
+        plan = ExperimentPlan("center-ball", {"n": 8}, rtols=(1e-30,), max_iter=np.int64(3))
+        (row,) = run_convergence_study(plan)
+        assert row["iterations"] == 3
+        rep = homogenize(gen_center_ball(8, 10.0), boundary_z, 1e-30, max_iter=np.int64(3))
+        assert (rep.iterations, rep.converged) == (3, False)
+
     def test_solve_smooth_rejects_unknown_settings(self):
         with pytest.raises(ConfigError):
             solve_smooth(8, precision="f16")
@@ -353,6 +376,16 @@ class TestPlanBoundary:
         monkeypatch.setattr(pipeline, "solve_smooth", unreachable)
         plan = ExperimentPlan("smooth", {"n_values": [8]}, boundary=boundary, out_dir=tmp_path)
         with pytest.raises(ConfigError, match="takes only the default boundary"):
+            run_convergence_study(plan)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_convergence_refuses_other_generators(self, monkeypatch, tmp_path):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(pipeline, "make_field", unreachable)
+        plan = ExperimentPlan("channels", {"n_values": [8]}, out_dir=tmp_path)
+        with pytest.raises(ConfigError, match="^convergence study supports smooth or center-ball$"):
             run_convergence_study(plan)
         assert list(tmp_path.iterdir()) == []
 

@@ -204,6 +204,17 @@ class TestReferenceLp:
         with pytest.raises(ConfigError, match="kx_ref must be positive and finite"):
             ReferenceParams(value, 1, 1, 1, 1)
 
+    @pytest.mark.parametrize("group", range(5))
+    def test_statistics_must_be_ordered(self, group):
+        vals = [1.0, 2.0] * 5
+        vals[2 * group] = 3.0  # min > max in one group
+        with pytest.raises(ConfigError, match=r"^stats must satisfy 0 < min <= max < inf$"):
+            CoefficientStats(*vals)
+
+    def test_bounds_must_be_ordered(self):
+        with pytest.raises(ConfigError, match="^need 0 < lambda_lo <= lambda_hi$"):
+            ReferenceParams(1, 1, 1, 1, 1, lambda_lo=2.0, lambda_hi=1.0)
+
     def test_ones_reference_bounds_come_from_statistics(self):
         spread = ones_reference(CoefficientStats(0.5, 2.0, 1.0, 1.0, 1.0, 4.0, 1.0, 1.0, 1.0, 1.0))
         assert (spread.lambda_lo, spread.lambda_hi) == (0.5, 4.0)

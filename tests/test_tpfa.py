@@ -340,6 +340,12 @@ class TestSource:
             assert np.array_equal(add_source(sys, b, source), want)
 
 
+    def test_non_finite_samples_rejected(self, boundary_z):
+        sys = build_system(constant_field(3, 3, 3), boundary_z)
+        with pytest.raises(ValueError, match="^source sampler returned non-finite values$"):
+            add_source(sys, build_rhs(sys), lambda x, y, z: np.where(z > 0.5, np.nan, 1.0))
+
+
 class TestDenseAssembly:
     def test_two_cell(self):
         assert np.array_equal(assemble_dense(two_cell_system()), [[3.0, -1.0], [-1.0, 3.0]])
@@ -416,6 +422,11 @@ class TestFluxAndEffective:
         p = dense_solve(assemble_dense(sys), build_rhs(sys))
         assert np.allclose(reconstruct_boundary_flux(sys, p, side="out"), 1.0, rtol=1e-12)
         assert np.allclose(reconstruct_boundary_flux(sys, p, side="in"), 1.0, rtol=1e-12)
+
+    def test_unknown_side_rejected(self, boundary_z):
+        sys = build_system(constant_field(3, 3, 3), boundary_z)
+        with pytest.raises(ValueError, match="^side must be 'in' or 'out', got 'up'$"):
+            reconstruct_boundary_flux(sys, np.zeros(27), side="up")
 
     def test_conservation_random_fields(self, boundary_z):
         rng = np.random.default_rng(10)

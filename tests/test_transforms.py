@@ -239,3 +239,41 @@ def test_products_run_in_chunks_of_layers(dtype, monkeypatch):
     assert np.array_equal(fct_forward_batch(in_place, out=in_place), whole)
     for k in range(7):
         assert np.array_equal(fct_forward_batch(v[k:k + 1])[0], whole[k])
+
+
+# a plane of each branch: products (24-wide) and pocketfft (65-wide)
+OUT_PLANES = [(24, 24), (65, 24)]
+TRANSFORMS = [fct_forward_batch, fct_backward_batch]
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS)
+@pytest.mark.parametrize("plane", OUT_PLANES)
+class TestOutContract:
+    def test_refuses_an_out_of_another_dtype(self, plane, transform):
+        v = np.ones((3,) + plane)
+        with pytest.raises(ValueError, match="out has dtype float32, expected float64"):
+            transform(v, out=np.empty(v.shape, dtype=np.float32))
+        # the dtype after integer data is promoted to f64
+        with pytest.raises(ValueError, match="out has dtype float32, expected float64"):
+            transform(np.ones((3,) + plane, dtype=np.int64),
+                      out=np.empty(v.shape, dtype=np.float32))
+
+    def test_refuses_an_out_that_overlaps_the_data(self, plane, transform):
+        # enough layers that the product branch runs several chunks
+        buf = np.random.default_rng(12).standard_normal((201,) + plane)
+        kept = buf.copy()
+        with pytest.raises(ValueError, match="overlaps the data"):
+            transform(buf[:-1], out=buf[1:])
+        with pytest.raises(ValueError, match="overlaps the data"):
+            transform(buf[1:], out=buf[:-1])
+        assert np.array_equal(buf, kept)
+
+    def test_takes_the_same_memory_through_another_view(self, plane, transform):
+        rng = np.random.default_rng(13)
+        v = rng.standard_normal((5,) + plane)
+        want = transform(v)
+        flat = v.copy().ravel()
+        # a second view object of the same elements, as the FCT workspace is
+        out = flat.reshape(v.shape)
+        assert transform(flat.reshape(v.shape), out=out) is out
+        assert np.array_equal(out, want)
