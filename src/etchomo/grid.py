@@ -97,12 +97,10 @@ def _center_vectors(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return cx.reshape(1, 1, -1), cy.reshape(1, -1, 1), cz.reshape(-1, 1, 1)
 
 
-def _positive_finite_extremes(a: np.ndarray):
-    """(min, max) of a non-empty `a` as scalars of its dtype, or None unless
-    every entry is strictly positive and finite."""
+def _positive_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a non-empty `a` is strictly positive and finite."""
     # min/max need no temporary arrays; a NaN makes both comparisons false
-    lo, hi = a.min(), a.max()
-    return (lo, hi) if lo > 0 and hi < np.inf else None
+    return bool(a.min() > 0 and a.max() < np.inf)
 
 
 def map_shared(fn, arrays) -> list:
@@ -118,9 +116,13 @@ def map_shared(fn, arrays) -> list:
 class OrthotropicField:
     """Per-cell conductivities (kx, ky, kz), strictly positive and finite.
 
-    Arrays are flat (length grid.n_cells, x-fastest) and frozen read-only after
-    construction, so a field can be shared across threads. Components passed
-    as one array object (`OrthotropicField(grid, k, k, k)`) stay one array.
+    This is the one value check of a conductivity array. Arrays are flat
+    (length grid.n_cells, x-fastest), and the field's own views are
+    read-only, so a field can be shared across threads. A C-contiguous
+    float64 or float32 argument is taken without a copy: the caller's array
+    stays writable, and a write to it after construction reaches the field
+    unchecked. Components passed as one array object
+    (`OrthotropicField(grid, k, k, k)`) stay one array.
     """
 
     __slots__ = ("grid", "kx", "ky", "kz")
@@ -138,7 +140,7 @@ class OrthotropicField:
                 )
             if a.dtype not in (np.float64, np.float32):
                 a = a.astype(np.float64)
-            if _positive_finite_extremes(a) is None:
+            if not _positive_finite(a):
                 raise ConfigError(f"{name} must be strictly positive and finite")
             a.setflags(write=False)
             return a
@@ -191,38 +193,61 @@ class BoundaryConfig:
 # The argument checks of the generators, apart from the field builds so that
 # a study can check every value of its sweep before the first solve.
 
+# 10.0**psi overflows float64 from here on
+_PSI_LIMIT = float(np.log10(np.finfo(np.float64).max))
+
+
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_positive_real(name: str, value) -> None:
+    # a NaN fails both comparisons
+    if not 0.0 < value < np.inf:
+        raise ConfigError(f"{name} must be positive" if not value > 0.0
+                          else f"{name} must be finite")
+
+
 def _check_smooth(n: int) -> None:
+    _check_integer("n", n)
     if n < 2:
         raise ConfigError("smooth problem needs n >= 2")
 
 
 def _check_center_ball(n: int, kappa_inc: float) -> None:
+    _check_integer("n", n)
     if n < 2:
         raise ConfigError("center-ball needs n >= 2")
-    if kappa_inc <= 0.0:
-        raise ConfigError("kappa_inc must be positive")
+    _check_positive_real("kappa_inc", kappa_inc)
 
 
 def _check_random_balls(n, count, r_min, r_max, kappa_inc, seed) -> None:
+    _check_integer("n", n)
     if n < 2:
         raise ConfigError("random-balls needs n >= 2")
+    _check_integer("count", count)
     if count < 1:
         raise ConfigError("count must be >= 1")
     if not (0.0 < r_min <= r_max < 0.5):
         raise ConfigError("radii must satisfy 0 < r_min <= r_max < 1/2")
-    if kappa_inc <= 0.0:
-        raise ConfigError("kappa_inc must be positive")
+    _check_positive_real("kappa_inc", kappa_inc)
+    _check_integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def _check_channels(cells_per_period: int, periods: int, psi: float) -> None:
+    _check_integer("cells_per_period", cells_per_period)
     if cells_per_period < 8 or cells_per_period % 8 != 0:
         raise ConfigError("cells_per_period must be a positive multiple of 8")
+    _check_integer("periods", periods)
     if periods < 1:
         raise ConfigError("periods must be >= 1")
-    if psi <= 0.0:
-        raise ConfigError("psi must be positive")
+    _check_positive_real("psi", psi)
+    if not psi < _PSI_LIMIT:
+        raise ConfigError(f"psi must be below {_PSI_LIMIT!r}, where 10**psi "
+                          f"overflows float64, got {psi!r}")
 
 
 def gen_smooth_problem(n: int):
@@ -366,7 +391,9 @@ def read_vox(source) -> OrthotropicField:
     of the first defect.
 
     Each array is read straight into its final buffer, so the peak memory is
-    about the payload size. Components equal to kx share its array.
+    about the payload size. Components equal to kx share its array. The
+    values are checked once, by `OrthotropicField`; only when it refuses
+    them is the first bad entry in file order looked for.
     """
     with open(Path(source), "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -381,7 +408,10 @@ def read_vox(source) -> OrthotropicField:
         try:
             grid = GridSpec(int(nx), int(ny), int(nz), lx, ly, lz)
         except ConfigError as exc:
-            raise VoxFormatError(f"bad dimensions: {exc}", 8) from exc
+            # the unsigned counts (from byte 8) can only be refused for a 0;
+            # else a length (from byte 20) was refused
+            raise VoxFormatError(f"bad dimensions: {exc}",
+                                 8 if 0 in (nx, ny, nz) else 20) from exc
         scalar = _DTYPE_BY_CODE[code]
         count = grid.n_cells
         expected = _VOX_HEADER.size + 3 * count * scalar.itemsize
@@ -390,21 +420,27 @@ def read_vox(source) -> OrthotropicField:
                 f"payload holds {size} bytes, expected {expected}",
                 min(size, expected),
             )
-        arrays = []
-        for idx, name in enumerate(("kx", "ky", "kz")):
+        names, arrays = ("kx", "ky", "kz"), []
+        for idx, name in enumerate(names):
             start = _VOX_HEADER.size + idx * count * scalar.itemsize
             a = np.empty(count, dtype=scalar)
             got = fh.readinto(a)
             if got != a.nbytes:
                 raise VoxFormatError(f"{name} payload ends early", start + got)
-            if _positive_finite_extremes(a) is None:
-                first = int(np.argmax(~(np.isfinite(a) & (a > 0))))
-                raise VoxFormatError(
-                    f"non-positive {name} entry at cell {first}",
-                    start + first * scalar.itemsize,
-                )
             a = a.astype(np.float64 if code == 0 else np.float32, copy=False)
             if arrays and np.array_equal(a, arrays[0]):
                 a = arrays[0]
             arrays.append(a)
-    return OrthotropicField(grid, *arrays)
+    try:
+        return OrthotropicField(grid, *arrays)
+    except ConfigError:
+        # the arrays have the grid's size and one dtype, so a value was refused
+        for idx, (name, a) in enumerate(zip(names, arrays)):
+            bad = ~(np.isfinite(a) & (a > 0))
+            if bad.any():
+                first = int(np.argmax(bad))
+                raise VoxFormatError(
+                    f"non-positive {name} entry at cell {first}",
+                    _VOX_HEADER.size + (idx * count + first) * scalar.itemsize,
+                ) from None
+        raise

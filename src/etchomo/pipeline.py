@@ -103,6 +103,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.rtols:
             raise ConfigError("plan needs at least one rtol")
+        if not self.preconds:
+            raise ConfigError("plan needs at least one preconditioner")
         _check_settings(self.precision, self.ref_mode, self.rtols, self.preconds,
                         self.max_iter)
         # the studies key their runs by tag, so `ssor` and `ssor:1` would

@@ -63,10 +63,12 @@ class DiscreteSystem:
     tx, ty, tz are n-long bands: t[p] couples cells p and p+s (s = 1, nx,
     nx*ny) and is 0 where p+s leaves p's x-line, xy-plane or the grid, that
     is at i = nx-1, j = ny-1 and k = nz-1. t_in and t_out hold 2*kz/hz^2 on
-    the k=0 and k=nz-1 layers (size nx*ny each). The stored arrays are
-    frozen read-only, so the (min, max) over the faces of each axis that has
-    faces, kept from the positivity check, stays valid for
-    `coefficient_stats`.
+    the k=0 and k=nz-1 layers (size nx*ny each). The system's own views of
+    them are read-only, so the (min, max) over the faces of each axis that
+    has faces, kept from the positivity check, stays valid for
+    `coefficient_stats`. A C-contiguous argument is taken without a copy, so
+    a write to the caller's array afterwards bypasses the check and leaves
+    those extremes stale.
     """
 
     __slots__ = ("grid", "tx", "ty", "tz", "t_in", "t_out", "boundary", "_extremes")

@@ -276,6 +276,20 @@ def test_generate_negative_seed_exit_2(tmp_path, capsys):
     assert "configuration error: seed must lie in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, want", [
+    (["--config", "channels", "--psi", "400", "--periods", "1"],
+     "psi must be below 308.25471555991675, where 10**psi overflows float64, got 400.0"),
+    (["--config", "center-ball", "--n", "6", "--kappa-inc", "nan"], "kappa_inc must be positive"),
+    (["--config", "random-balls", "--preset", "a", "--n", "6", "--kappa-inc", "inf"],
+     "kappa_inc must be finite"),
+])
+def test_generate_bad_float_exit_2(tmp_path, capsys, flags, want):
+    vox = tmp_path / "g.vox"
+    assert main(["generate", *flags, "-o", str(vox)]) == 2
+    assert capsys.readouterr().err == f"etc: configuration error: {want}\n"
+    assert not vox.exists()
+
+
 def _same_field(path, want):
     got = read_vox(path)
     assert got.grid == want.grid
@@ -330,6 +344,10 @@ def test_generator_flag_that_the_config_does_not_read_exits_2(tmp_path, capsys, 
 @pytest.mark.parametrize("argv, match", [
     (["channels", "--psi", "1", "--psi", "-1", "--n", "8", "--periods", "1", "--rtol", "1e-5"],
      "psi must be positive"),
+    (["channels", "--psi", "1", "--psi", "nan", "--n", "8", "--periods", "1", "--rtol", "1e-5"],
+     "psi must be positive"),
+    (["channels", "--psi", "1", "--psi", "inf", "--n", "8", "--periods", "1", "--rtol", "1e-5"],
+     "psi must be finite"),
     (["convergence", "--config", "center-ball", "--n", "8", "--n", "1"], "center-ball needs n >= 2"),
     (["convergence", "--config", "smooth", "--n", "8", "--n", "1"], "smooth problem needs n >= 2"),
 ])

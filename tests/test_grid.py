@@ -87,6 +87,12 @@ class TestField:
         with pytest.raises(ValueError):
             f.kx[0] = 2.0
 
+    def test_caller_array_is_taken_without_a_copy(self):
+        # the field's view is read-only; the caller's array is not
+        k = np.ones(8)
+        f = OrthotropicField(GridSpec(2, 2, 2), k, k, k)
+        assert np.shares_memory(f.kx, k) and k.flags.writeable
+
 
 class TestSmoothProblem:
     def test_coefficient_samples(self):
@@ -179,6 +185,19 @@ class TestRandomBalls:
         with pytest.raises(ConfigError):
             gen_random_balls(8, 0, 0.1, 0.2, 10.0, seed=1)
 
+    @pytest.mark.parametrize("count, seed, want", [
+        (2.5, 1, "count must be an integer, got 2.5"),
+        (2, 1.5, "seed must be an integer, got 1.5"),
+        (2, np.float64(1.0), "seed must be an integer, got np.float64(1.0)"),
+    ])
+    def test_non_integral_count_or_seed_rejected(self, count, seed, want):
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            gen_random_balls(8, count, 0.1, 0.2, 10.0, seed)
+
+    def test_numpy_integer_count_and_seed(self):
+        got = gen_random_balls(np.int32(8), np.int64(3), 0.1, 0.2, 10.0, np.uint64(5))
+        assert np.array_equal(got.kx, gen_random_balls(8, 3, 0.1, 0.2, 10.0, 5).kx)
+
     def test_matches_center_ball_away_from_shell(self):
         # seed 686 puts the first ball center within 1/32 of the cube center
         n, seed = 32, 686
@@ -230,6 +249,22 @@ class TestChannels:
     def test_zero_periods_rejected(self):
         with pytest.raises(ConfigError, match="^periods must be >= 1$"):
             gen_channels(8, 0, 1.0)
+
+    @pytest.mark.parametrize("psi, want", [
+        (float("nan"), "psi must be positive"),
+        (float("inf"), "psi must be finite"),
+        (400.0, "psi must be below 308.25471555991675, where 10**psi overflows float64, "
+                "got 400.0"),
+        (308.25471555991675, "psi must be below 308.25471555991675, where 10**psi "
+                             "overflows float64, got 308.25471555991675"),
+    ])
+    def test_psi_refused_before_10_to_the_psi(self, psi, want):
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            gen_channels(8, 1, psi)
+
+    def test_largest_psi_gives_a_finite_field(self):
+        psi = np.nextafter(np.log10(np.finfo(np.float64).max), 0.0)
+        assert gen_channels(8, 1, float(psi)).cube("kz")[3, 4, 0] == 10.0**psi < np.inf
 
 
 class TestVoxFormat:
@@ -293,6 +328,22 @@ class TestVoxFormat:
             read_vox(path)
         assert err.value.offset == 8
 
+    @pytest.mark.parametrize("axis, value", [(0, float("nan")), (2, -1.0), (1, float("inf"))])
+    def test_bad_length(self, tmp_path, axis, value):
+        # the three f64 lengths follow the counts; the defect is at their
+        # first byte
+        path = tmp_path / "bad.vox"
+        write_vox(gen_center_ball(4, 2.0), path)
+        raw = bytearray(path.read_bytes())
+        raw[20 + 8 * axis:28 + 8 * axis] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        name = "lx ly lz".split()[axis]
+        with pytest.raises(VoxFormatError, match=re.escape(
+                f"bad dimensions: {name} must be positive and finite, got {value!r} "
+                "(byte offset 20)")) as err:
+            read_vox(path)
+        assert err.value.offset == 20
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "bad.vox"
         write_vox(gen_center_ball(4, 2.0), path)
@@ -310,6 +361,41 @@ class TestVoxFormat:
         with pytest.raises(VoxFormatError) as err:
             read_vox(path)
         assert err.value.offset == offset
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_first_bad_entry_in_file_order(self, tmp_path, dtype):
+        # a bad ky entry is named before an earlier cell's bad kz entry
+        path = tmp_path / "bad.vox"
+        write_vox(gen_channels(8, 1, 1.0).astype(dtype), path)
+        raw = bytearray(path.read_bytes())
+        size = np.dtype(dtype).itemsize
+        ky, kz = 45 + (512 + 7) * size, 45 + (1024 + 2) * size
+        raw[ky:ky + size] = np.array(np.nan, dtype).tobytes()
+        raw[kz:kz + size] = np.array(-1.0, dtype).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(VoxFormatError, match=re.escape(
+                f"non-positive ky entry at cell 7 (byte offset {ky})")):
+            read_vox(path)
+
+    @pytest.mark.parametrize("field, calls", [
+        (gen_random_balls(6, 4, 0.1, 0.3, 7.5, seed=3), 1),
+        (gen_channels(8, 1, 1.0), 3),
+    ])
+    def test_values_checked_once_per_distinct_array(self, tmp_path, monkeypatch, field, calls):
+        # read_vox leaves the value check to OrthotropicField, which makes
+        # it once per distinct array
+        import etchomo.grid
+
+        seen = []
+        check = etchomo.grid._positive_finite
+        monkeypatch.setattr(etchomo.grid, "_positive_finite",
+                            lambda a: seen.append(a) or check(a))
+        path = tmp_path / "field.vox"
+        write_vox(field, path)
+        seen.clear()
+        back = read_vox(path)
+        assert len(seen) == calls
+        assert len({id(a) for a in (back.kx, back.ky, back.kz)}) == calls
 
     def test_read_peak_memory_near_payload(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -132,3 +132,22 @@ def test_perfbench_traces_module_level_functions():
     for _, module, name in targets:
         assert name in {node.name for node in trees[module].body
                         if isinstance(node, ast.FunctionDef)}, f"{module}.{name}"
+
+
+def test_conductivity_values_are_checked_in_one_place():
+    """`grid._positive_finite` is the value check of a conductivity array. It
+    is referenced in src/ only inside `OrthotropicField`, so no reader or
+    generator keeps a second check path beside the field's."""
+    name = "_positive_finite"
+    grid = ast.parse((SRC / "grid.py").read_text())
+    field = next(node for node in grid.body
+                 if isinstance(node, ast.ClassDef) and node.name == "OrthotropicField")
+    inside = set(map(id, ast.walk(field)))
+    refs = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = grid if path.name == "grid.py" else ast.parse(path.read_text())
+        refs += [(path.name, node.lineno, id(node) in inside) for node in ast.walk(tree)
+                 if name in (getattr(node, "id", None), getattr(node, "attr", None))
+                 or (isinstance(node, ast.alias) and node.name == name)]
+    assert any(own for _, _, own in refs)
+    assert [(f, line) for f, line, own in refs if not own] == []

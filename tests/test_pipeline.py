@@ -323,6 +323,10 @@ class TestExperimentPlan:
         with pytest.raises(ConfigError):
             ExperimentPlan("center-ball", precision="f16")
 
+    def test_rejects_empty_preconds(self):
+        with pytest.raises(ConfigError, match="^plan needs at least one preconditioner$"):
+            ExperimentPlan("center-ball", {"n": 4}, preconds=())
+
     @pytest.mark.parametrize("preconds", [
         ("fct", "fct"), ("ssor", "ssor:1"), ("ssor:1.5", "jacobi", "ssor:1.50"),
     ])
@@ -422,6 +426,47 @@ def _no_solve(monkeypatch):
 
 _CONV = {"n_values": [8], "kappa_inc": 10.0}
 _CHAN = {"psi_values": [1.0], "cells_per_period": 8, "periods": 1}
+
+
+def _generator_arguments():
+    """(generator, argument, bad value) for every argument of every
+    generator: NaN and both infinities for a float, 2.5 for an integer."""
+    for name, (_, _, defaults) in pipeline._GENERATORS.items():
+        preset = pipeline.RANDOM_BALL_PRESETS["a"] if name == "random-balls" else {}
+        for key, value in {**defaults, **preset}.items():
+            assert type(value) in (int, float), (name, key)
+            bads = [float("nan"), float("inf"), -float("inf")] if type(value) is float else [2.5]
+            for bad in bads:
+                yield name, key, bad
+
+
+class TestGeneratorArguments:
+    """Every generator argument is refused by its check, before the build."""
+
+    @staticmethod
+    def _unreachable_builders(monkeypatch):
+        def unreachable(**kwargs):
+            raise AssertionError("a field build started")
+
+        for name, (_, check, defaults) in list(pipeline._GENERATORS.items()):
+            monkeypatch.setitem(pipeline._GENERATORS, name, (unreachable, check, defaults))
+
+    @pytest.mark.parametrize("generator, key, bad", list(_generator_arguments()))
+    def test_bad_value_refused_by_the_check(self, monkeypatch, generator, key, bad):
+        self._unreachable_builders(monkeypatch)
+        params = {"preset": "a"} if generator == "random-balls" else {}
+        want = "radii" if key in ("r_min", "r_max") else key
+        with pytest.raises(ConfigError, match=f"^{want} must"):
+            pipeline.make_field(generator, {**params, key: bad})
+
+    def test_every_generator_is_covered(self, monkeypatch):
+        # the default arguments pass every check and reach the build
+        assert {g for g, _, _ in _generator_arguments()} == set(pipeline._GENERATORS)
+        self._unreachable_builders(monkeypatch)
+        for generator in pipeline._GENERATORS:
+            params = {"preset": "a"} if generator == "random-balls" else {}
+            with pytest.raises(AssertionError, match="a field build started"):
+                pipeline.make_field(generator, params)
 
 
 class TestRefusedSettings:
